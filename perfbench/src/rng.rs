@@ -1,0 +1,36 @@
+//! SplitMix64: a tiny, stable generator. The benchmark's inputs must be a
+//! pure function of `--seed`, so it owns its generator instead of relying
+//! on any library's stream staying the same across versions.
+
+/// A SplitMix64 stream.
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    /// A stream for `seed`, salted by `stream` so independent inputs drawn
+    /// from one seed do not share a sequence.
+    pub fn new(seed: u64, stream: u64) -> Self {
+        let mut r = Rng(seed ^ stream.wrapping_mul(0xD1B5_4A32_D192_ED03));
+        r.next_u64();
+        r
+    }
+
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
