@@ -217,8 +217,11 @@ fn analyze_inner(
         Some(f) => Sink::with_suppressions(config, &f.suppressions, cd),
         None => Sink::new(config),
     };
-    let mut sink = new_sink();
-    race::run(&ctx, &mut sink);
+    // The race scan reports A010 into `tail`, which closes the report
+    // after the flow passes so memoized and unmemoized runs order
+    // findings identically.
+    let (mut sink, mut tail) = (new_sink(), new_sink());
+    race::run(&ctx, &mut sink, &mut tail);
     reach::run(&ctx, &mut sink);
     cycle::run(&ctx, &mut sink);
     bitwidth::run(&ctx, &mut sink);
@@ -233,11 +236,6 @@ fn analyze_inner(
         }
     }
 
-    // A010 closes the pass sequence so memoized and unmemoized runs
-    // order findings identically. It reads only the CSR (frequencies),
-    // so it runs with or without a flow program.
-    let mut tail = new_sink();
-    race::run_unproven(&ctx, &mut tail);
     let (tail_findings, tail_suppressed) = tail.into_parts();
     findings.extend(tail_findings);
     suppressed += tail_suppressed;

@@ -7,18 +7,19 @@
 //!
 //! | pass               | reads                                       |
 //! |--------------------|---------------------------------------------|
-//! | `race` (A001)      | topology, channel tags *and frequencies*, partition |
+//! | `race` (A001, A010)| topology, channel tags *and frequencies*, partition |
 //! | `reach` (A002)     | topology only                               |
 //! | `cycle` (A003)     | topology only                               |
 //! | `bitwidth` (A004)  | channel bits, bus widths, partition, config |
 //! | `annotation` (A005)| weight tables, class kinds                  |
 //! | flow (A006–A009)   | the behavior flow program only              |
-//! | `race` (A010)      | topology, channel tags and frequencies, partition |
 //!
-//! A frequency-only edit re-runs just the two race passes (the
-//! proven/unproven split is a happens-before judgment over observed
-//! frequencies); a weight tweak re-runs `annotation` alone; a body edit
-//! re-runs the flow passes — and those keep a second, per-behavior cache
+//! One race scan yields both `A001` and `A010`; their results sit in
+//! separate slots (`A010` closes the report, after the flow passes) but
+//! go stale and re-run together. A frequency-only edit re-runs just that
+//! scan (the proven/unproven split is a happens-before judgment over
+//! observed frequencies); a weight tweak re-runs `annotation` alone; a
+//! body edit re-runs the flow passes — and those keep a second, per-behavior cache
 //! keyed by structural hash, so only the edited behavior actually
 //! re-solves.
 //!
@@ -39,11 +40,11 @@ use crate::{annotation, bitwidth, cycle, race, reach};
 use slif_core::{AnnotationDelta, CompiledDesign, Partition};
 use slif_speclang::FlowProgram;
 
-/// Number of lint passes, in execution order: the five design-level
-/// passes, the four flow passes, and the trailing `A010` race pass.
+/// Number of cached lint results, in report order: the five design-level
+/// lints `A001`–`A005`, the four flow lints, and the trailing `A010`.
 const PASSES: usize = 10;
 
-/// Index of the first flow pass (`A006`) in execution order.
+/// Index of the first flow pass (`A006`) in report order.
 const FLOW_BASE: usize = 5;
 
 /// Which analyzer inputs changed since the memo was last valid.
@@ -62,10 +63,10 @@ pub struct AnalysisDirt {
     /// Re-run every pass regardless of the other flags.
     pub everything: bool,
     /// Some channel's bit width or concurrency tag changed
-    /// (`race`, `bitwidth`, and the `A010` pass re-run).
+    /// (the race scan and `bitwidth` re-run).
     pub chan_bits_or_tags: bool,
-    /// Some channel's access frequency changed (both race passes
-    /// re-run: frequencies decide the proven/unproven split).
+    /// Some channel's access frequency changed (the race scan re-runs:
+    /// frequencies decide the proven/unproven split).
     pub chan_freqs: bool,
     /// Some node's weight row changed (`annotation` re-runs).
     pub weights: bool,
@@ -89,7 +90,8 @@ impl AnalysisDirt {
         }
     }
 
-    /// Whether pass `i` (execution order) must re-run.
+    /// Whether the pass filling slot `i` (report order) must re-run.
+    /// Slot 0 stands for the whole race scan, `A010` included.
     fn stale(&self, i: usize) -> bool {
         if self.everything {
             return true;
@@ -99,8 +101,7 @@ impl AnalysisDirt {
             1 | 2 => false,                                 // reach, cycle: topology only
             3 => self.chan_bits_or_tags,                    // bitwidth: channel bits
             4 => self.weights,                              // annotation: weight tables
-            5..=8 => self.flow,                             // flow passes: flow program
-            _ => self.chan_bits_or_tags || self.chan_freqs, // A010: tags + freqs
+            _ => self.flow,                                 // flow passes: flow program
         }
     }
 }
@@ -125,6 +126,16 @@ impl From<&AnnotationDelta> for AnalysisDirt {
 struct PassCache {
     findings: Vec<Finding>,
     suppressed: usize,
+}
+
+impl From<Sink<'_>> for PassCache {
+    fn from(sink: Sink<'_>) -> Self {
+        let (findings, suppressed) = sink.into_parts();
+        Self {
+            findings,
+            suppressed,
+        }
+    }
 }
 
 /// Cached per-pass lint results for one (compiled view, partition,
@@ -154,7 +165,9 @@ impl AnalysisMemo {
         Self::default()
     }
 
-    /// Lint passes served from cache across all runs.
+    /// Lint passes served from cache across all runs. Counted per lint:
+    /// the race scan counts as two (`A001`, `A010`), the shared flow
+    /// solve as four.
     pub fn passes_reused(&self) -> u64 {
         self.reused
     }
@@ -222,25 +235,28 @@ pub fn analyze_compiled_memoized_with_flow(
         None => Sink::new(config),
     };
 
-    let runners: [fn(&Ctx<'_>, &mut Sink<'_>); FLOW_BASE] = [
-        race::run,
-        reach::run,
-        cycle::run,
-        bitwidth::run,
-        annotation::run,
-    ];
-    for (i, run) in runners.iter().enumerate() {
+    // A001 and A010 share one scan, so they go stale (and re-run)
+    // together.
+    if seeded && !dirt.stale(0) {
+        memo.reused += 2;
+    } else {
+        let (mut head, mut tail) = (new_sink(), new_sink());
+        race::run(&ctx, &mut head, &mut tail);
+        passes[0] = head.into();
+        passes[PASSES - 1] = tail.into();
+        memo.ran += 2;
+    }
+
+    let runners: [fn(&Ctx<'_>, &mut Sink<'_>); FLOW_BASE - 1] =
+        [reach::run, cycle::run, bitwidth::run, annotation::run];
+    for (i, run) in (1..).zip(runners) {
         if seeded && !dirt.stale(i) {
             memo.reused += 1;
             continue;
         }
         let mut sink = new_sink();
         run(&ctx, &mut sink);
-        let (findings, suppressed) = sink.into_parts();
-        passes[i] = PassCache {
-            findings,
-            suppressed,
-        };
+        passes[i] = sink.into();
         memo.ran += 1;
     }
 
@@ -262,19 +278,6 @@ pub fn analyze_compiled_memoized_with_flow(
             passes[FLOW_BASE + p] = PassCache::default();
             memo.ran += 1;
         }
-    }
-
-    if seeded && !dirt.stale(PASSES - 1) {
-        memo.reused += 1;
-    } else {
-        let mut sink = new_sink();
-        race::run_unproven(&ctx, &mut sink);
-        let (findings, suppressed) = sink.into_parts();
-        passes[PASSES - 1] = PassCache {
-            findings,
-            suppressed,
-        };
-        memo.ran += 1;
     }
 
     let mut findings: Vec<Finding> = passes

@@ -19,35 +19,25 @@
 //! partition the old `A001` finding set: refinement strictly reduces
 //! deny-level findings without losing a single true positive.
 //!
-//! Reachability is computed as one bitset per behavior (which processes
-//! can reach it through call/message edges), so each pass is
-//! `O(P·E + C²)` per variable-incident channel pair, with `P` processes
-//! and `E` behavior edges.
+//! One scan yields both lints. Reachability is built once per analysis
+//! for each of the two edge sets (any channel, live channels only) and
+//! stored sparsely: one sorted list per behavior of the processes that
+//! reach it. Building costs `O(P·E)` time, with `P` processes and `E`
+//! behavior edges, and memory proportional to the (process, behavior)
+//! reach pairs that exist. The scan then costs `O(C²)` channel pairs per
+//! variable with `C` incident channels, each pair walking two reach lists
+//! until it finds an unserialized pair of distinct processes.
 
 use crate::analyzer::{Ctx, Sink};
 use crate::lint::LintId;
-use slif_core::{AccessKind, AccessTarget, ConcurrencyTag, NodeId, Partition};
+use slif_core::{
+    AccessKind, AccessTarget, ChannelId, CompiledDesign, ConcurrencyTag, NodeId, Partition,
+};
 
-/// Which half of the refined `A001` split a run reports.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Proven races only (`A001`).
-    Proven,
-    /// Topologically possible but unproven interleavings only (`A010`).
-    Unproven,
-}
-
-/// The `A001` pass: proven races.
-pub(crate) fn run(ctx: &Ctx<'_>, sink: &mut Sink<'_>) {
-    run_mode(ctx, sink, Mode::Proven);
-}
-
-/// The `A010` pass: unproven interleavings.
-pub(crate) fn run_unproven(ctx: &Ctx<'_>, sink: &mut Sink<'_>) {
-    run_mode(ctx, sink, Mode::Unproven);
-}
-
-fn run_mode(ctx: &Ctx<'_>, sink: &mut Sink<'_>, mode: Mode) {
+/// The race pass: proven races (`A001`) go to `proven`, unproven
+/// interleavings (`A010`) to `unproven`. The sinks stay apart so the
+/// caller can place `A010` after the flow passes.
+pub(crate) fn run(ctx: &Ctx<'_>, proven: &mut Sink<'_>, unproven: &mut Sink<'_>) {
     let cd = ctx.cd;
     let procs = cd.process_nodes();
     if procs.len() < 2 {
@@ -55,9 +45,18 @@ fn run_mode(ctx: &Ctx<'_>, sink: &mut Sink<'_>, mode: Mode) {
         // ordered by its own control flow.
         return;
     }
-    let words = procs.len().div_ceil(64);
-    let reach_any = process_reachability(cd, procs, words, false);
-    let reach_live = process_reachability(cd, procs, words, true);
+    let reach_any = process_reachability(cd, procs, false);
+    let reach_live = process_reachability(cd, procs, true);
+    let pair_text = |key: (usize, usize), c1: ChannelId, c2: ChannelId| {
+        format!(
+            "processes {} ({}) and {} ({}) reach channels {c1} and {c2} with overlapping \
+             concurrency",
+            procs[key.0],
+            cd.node_name(procs[key.0]),
+            procs[key.1],
+            cd.node_name(procs[key.1]),
+        )
+    };
 
     for v in cd.node_ids() {
         if !cd.node_kind(v).is_variable() {
@@ -69,8 +68,7 @@ fn run_mode(ctx: &Ctx<'_>, sink: &mut Sink<'_>, mode: Mode) {
         // unproven candidates are emitted, so a pair proven through any
         // channel pair never double-reports as A010.
         let mut proven_keys: Vec<(usize, usize)> = Vec::new();
-        let mut unproven: Vec<((usize, usize), slif_core::ChannelId, slif_core::ChannelId)> =
-            Vec::new();
+        let mut candidates: Vec<((usize, usize), ChannelId, ChannelId)> = Vec::new();
         for (i, &c1) in incoming.iter().enumerate() {
             for &c2 in &incoming[i..] {
                 let k1 = cd.chan_kind(c1);
@@ -84,26 +82,22 @@ fn run_mode(ctx: &Ctx<'_>, sink: &mut Sink<'_>, mode: Mode) {
                 if !tags_overlap(cd.chan_tag(c1), cd.chan_tag(c2)) {
                     continue;
                 }
-                let s1 = cd.chan_src(c1);
-                let s2 = cd.chan_src(c2);
-                if s1.index() >= cd.node_count() || s2.index() >= cd.node_count() {
+                let s1 = cd.chan_src(c1).index();
+                let s2 = cd.chan_src(c2).index();
+                if s1 >= cd.node_count() || s2 >= cd.node_count() {
                     continue; // dangling source: the validator's finding
                 }
-                let any1 = &reach_any[s1.index() * words..(s1.index() + 1) * words];
-                let any2 = &reach_any[s2.index() * words..(s2.index() + 1) * words];
-                let Some((pa, pb)) = racing_pair(any1, any2, procs, ctx.partition) else {
+                let Some((pa, pb)) =
+                    racing_pair(&reach_any[s1], &reach_any[s2], procs, ctx.partition)
+                else {
                     continue;
                 };
                 // Proven: the accesses themselves were observed executing
                 // and both sides are reachable through observed channels.
                 let live_access = cd.chan_freq(c1).max > 0 && cd.chan_freq(c2).max > 0;
-                let proven_pair = if live_access {
-                    let live1 = &reach_live[s1.index() * words..(s1.index() + 1) * words];
-                    let live2 = &reach_live[s2.index() * words..(s2.index() + 1) * words];
-                    racing_pair(live1, live2, procs, ctx.partition)
-                } else {
-                    None
-                };
+                let proven_pair = live_access
+                    .then(|| racing_pair(&reach_live[s1], &reach_live[s2], procs, ctx.partition))
+                    .flatten();
                 match proven_pair {
                     Some((qa, qb)) => {
                         let key = (qa.min(qb), qa.max(qb));
@@ -111,85 +105,68 @@ fn run_mode(ctx: &Ctx<'_>, sink: &mut Sink<'_>, mode: Mode) {
                             continue;
                         }
                         proven_keys.push(key);
-                        if mode == Mode::Proven {
-                            sink.emit(
-                                LintId::SharedVariableRace,
-                                Some(v),
-                                Some(c1),
-                                format!(
-                                    "variable {v} ({}) can be accessed concurrently with a write: \
-                                     processes {} ({}) and {} ({}) reach channels {c1} and {c2} \
-                                     with overlapping concurrency, and the partition does not \
-                                     serialize them",
-                                    cd.node_name(v),
-                                    procs[key.0],
-                                    cd.node_name(procs[key.0]),
-                                    procs[key.1],
-                                    cd.node_name(procs[key.1]),
-                                ),
-                            );
-                        }
+                        proven.emit(
+                            LintId::SharedVariableRace,
+                            Some(v),
+                            Some(c1),
+                            format!(
+                                "variable {v} ({}) can be accessed concurrently with a write: \
+                                 {}, and the partition does not serialize them",
+                                cd.node_name(v),
+                                pair_text(key, c1, c2),
+                            ),
+                        );
                     }
                     None => {
                         let key = (pa.min(pb), pa.max(pb));
-                        if !unproven.iter().any(|(k, ..)| *k == key) {
-                            unproven.push((key, c1, c2));
+                        if !candidates.iter().any(|(k, ..)| *k == key) {
+                            candidates.push((key, c1, c2));
                         }
                     }
                 }
             }
         }
-        if mode == Mode::Unproven {
-            for (key, c1, c2) in unproven {
-                if proven_keys.contains(&key) {
-                    continue; // already a deny-level A001 for this pair
-                }
-                sink.emit(
-                    LintId::UnprovenInterleaving,
-                    Some(v),
-                    Some(c1),
-                    format!(
-                        "variable {v} ({}) may interleave with a write: processes \
-                         {} ({}) and {} ({}) reach channels {c1} and {c2} with \
-                         overlapping concurrency, but no observed execution proves \
-                         the interleaving (a reaching channel has zero access \
-                         frequency)",
-                        cd.node_name(v),
-                        procs[key.0],
-                        cd.node_name(procs[key.0]),
-                        procs[key.1],
-                        cd.node_name(procs[key.1]),
-                    ),
-                );
+        for (key, c1, c2) in candidates {
+            if proven_keys.contains(&key) {
+                continue; // already a deny-level A001 for this pair
             }
+            unproven.emit(
+                LintId::UnprovenInterleaving,
+                Some(v),
+                Some(c1),
+                format!(
+                    "variable {v} ({}) may interleave with a write: {}, but no observed \
+                     execution proves the interleaving (a reaching channel has zero access \
+                     frequency)",
+                    cd.node_name(v),
+                    pair_text(key, c1, c2),
+                ),
+            );
         }
     }
 }
 
-/// One bitset per node: which process indices can reach this behavior
-/// through behavior→behavior edges (a process reaches itself). With
-/// `live_only`, only channels with a positive observed access frequency
-/// are followed — the happens-before half of the `A001`/`A010` split.
-fn process_reachability(
-    cd: &slif_core::CompiledDesign,
-    procs: &[NodeId],
-    words: usize,
-    live_only: bool,
-) -> Vec<u64> {
-    let mut reach = vec![0u64; cd.node_count() * words];
+/// For every node, the ascending indices of the processes that reach it
+/// through behavior→behavior edges (a process reaches itself); nodes no
+/// process reaches keep an empty list. With `live_only`, only channels
+/// with a positive observed access frequency are followed — the
+/// happens-before half of the `A001`/`A010` split.
+fn process_reachability(cd: &CompiledDesign, procs: &[NodeId], live_only: bool) -> Vec<Vec<usize>> {
+    let mut reach: Vec<Vec<usize>> = vec![Vec::new(); cd.node_count()];
     let mut stack: Vec<NodeId> = Vec::new();
     for (pi, &p) in procs.iter().enumerate() {
         if p.index() >= cd.node_count() {
             continue;
         }
-        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
         stack.push(p);
         while let Some(n) = stack.pop() {
-            let slot = n.index() * words + w;
-            if reach[slot] & bit != 0 {
+            // Processes are visited in ascending index, so a list already
+            // holding `pi` ends with it, and every list stays sorted.
+            let list = &mut reach[n.index()];
+            if list.last() == Some(&pi) {
                 continue;
             }
-            reach[slot] |= bit;
+            list.push(pi);
             for &c in cd.channels_of(n) {
                 if live_only && cd.chan_freq(c).max == 0 {
                     continue;
@@ -213,26 +190,18 @@ fn tags_overlap(a: ConcurrencyTag, b: ConcurrencyTag) -> bool {
     !a.is_concurrent() || !b.is_concurrent() || a == b
 }
 
-/// Finds a pair of *distinct* processes, one reaching each channel
-/// source, that the partition does not serialize onto one component.
+/// Finds the first pair of *distinct* processes, in ascending `(pa, pb)`
+/// order over the two reach lists, that the partition does not
+/// serialize onto one component.
 fn racing_pair(
-    r1: &[u64],
-    r2: &[u64],
+    r1: &[usize],
+    r2: &[usize],
     procs: &[NodeId],
     partition: Option<&Partition>,
 ) -> Option<(usize, usize)> {
-    for pa in iter_bits(r1) {
-        for pb in iter_bits(r2) {
-            if pa == pb {
-                continue;
-            }
-            if serialized(procs[pa], procs[pb], partition) {
-                continue;
-            }
-            return Some((pa, pb));
-        }
-    }
-    None
+    r1.iter()
+        .flat_map(|&pa| r2.iter().map(move |&pb| (pa, pb)))
+        .find(|&(pa, pb)| pa != pb && !serialized(procs[pa], procs[pb], partition))
 }
 
 /// Two processes mapped onto the same component execute sequentially
@@ -246,12 +215,6 @@ fn serialized(a: NodeId, b: NodeId, partition: Option<&Partition>) -> bool {
         (Some(x), Some(y)) => x == y,
         _ => false,
     }
-}
-
-fn iter_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(wi, &w)| {
-        (0..64).filter(move |b| w & (1u64 << b) != 0).map(move |b| wi * 64 + b)
-    })
 }
 
 #[cfg(test)]

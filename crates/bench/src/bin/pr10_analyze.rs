@@ -7,7 +7,11 @@
 //!   design nodes run through the full flow-sensitive analyzer
 //!   (`analyze_compiled_with_flow`: graph passes A001–A005 plus the
 //!   dataflow passes A006–A009 and the unproven-interleaving pass A010),
-//!   reporting nodes analyzed per second.
+//!   reporting nodes analyzed per second, beside the graph passes alone
+//!   (`analyze_compiled`: A001–A005 and A010) as `graph_ns`. Throughput
+//!   at the ~100k rung must stay within 3x of the ~10k rung's (a ratio,
+//!   so it holds on any host): the analysis may not fall off a cliff
+//!   as designs grow.
 //! - **Memoized re-analysis** — the largest corpus spec (`ether`) with
 //!   one procedure's body edited: a warm
 //!   [`analyze_compiled_memoized_with_flow`] pass (flow-only dirt, so
@@ -19,8 +23,8 @@
 //! Writes `BENCH_analyze.json` (or the path given as the first argument).
 
 use slif_analyze::{
-    analyze_compiled_memoized_with_flow, analyze_compiled_with_flow, AnalysisConfig, AnalysisDirt,
-    AnalysisMemo, SourceMap,
+    analyze_compiled, analyze_compiled_memoized_with_flow, analyze_compiled_with_flow,
+    AnalysisConfig, AnalysisDirt, AnalysisMemo, SourceMap,
 };
 use slif_core::CompiledDesign;
 use slif_frontend::{all_software_partition, allocate_proc_asic, build_design};
@@ -31,6 +35,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const SPEEDUP_FLOOR: f64 = 5.0;
+
+/// Lowest allowed ratio of the ~100k rung's nodes/s to the ~10k rung's.
+const SCALING_FLOOR: f64 = 1.0 / 3.0;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
@@ -58,9 +65,25 @@ fn synth_spec(processes: usize, vars: usize) -> String {
     s
 }
 
-/// Full flow-sensitive analysis over a synthetic spec of roughly
-/// `processes + vars` design nodes. Returns (nodes, flow_nodes, ns).
-fn throughput(processes: usize, vars: usize, rounds: usize) -> (usize, usize, f64) {
+/// Median wall time of `rounds` runs of `f`, in nanoseconds.
+fn time_ns<R>(rounds: usize, mut f: impl FnMut() -> R) -> f64 {
+    median(
+        (0..rounds)
+            .map(|_| {
+                let start = Instant::now();
+                let result = black_box(f());
+                let ns = start.elapsed().as_nanos() as f64;
+                drop(result); // outside the timed region
+                ns
+            })
+            .collect(),
+    )
+}
+
+/// Full flow-sensitive analysis, and the graph passes alone, over a
+/// synthetic spec of roughly `processes + vars` design nodes. Returns
+/// (nodes, flow_nodes, full ns, graph-only ns).
+fn throughput(processes: usize, vars: usize, rounds: usize) -> (usize, usize, f64, f64) {
     let source = synth_spec(processes, vars);
     // The 100k-node rung is legitimately bigger than the serving-side
     // parse caps; the bench raises them rather than shrinking the rung.
@@ -75,18 +98,11 @@ fn throughput(processes: usize, vars: usize, rounds: usize) -> (usize, usize, f6
     let nodes = design.graph().node_count();
     let cd = CompiledDesign::compile(&design);
     let config = AnalysisConfig::new();
-    let ns = median(
-        (0..rounds)
-            .map(|_| {
-                let start = Instant::now();
-                let report = analyze_compiled_with_flow(&cd, None, &config, &flow, None);
-                let ns = start.elapsed().as_nanos() as f64;
-                black_box(report);
-                ns
-            })
-            .collect(),
-    );
-    (nodes, flow_nodes, ns)
+    let ns = time_ns(rounds, || {
+        analyze_compiled_with_flow(&cd, None, &config, &flow, None)
+    });
+    let graph_ns = time_ns(rounds, || analyze_compiled(&cd, None, &config));
+    (nodes, flow_nodes, ns, graph_ns)
 }
 
 fn main() {
@@ -97,18 +113,21 @@ fn main() {
 
     // -- Throughput ladder --------------------------------------------
     let mut entries = String::new();
+    let mut rates = Vec::new();
     for (i, &(processes, vars, rounds)) in
         [(500usize, 500usize, 5usize), (5_000, 5_000, 3), (50_000, 50_000, 1)]
             .iter()
             .enumerate()
     {
-        let (nodes, flow_nodes, ns) = throughput(processes, vars, rounds);
+        let (nodes, flow_nodes, ns, graph_ns) = throughput(processes, vars, rounds);
         let nodes_per_sec = nodes as f64 / (ns / 1e9);
+        rates.push(nodes_per_sec);
         println!(
             "{nodes:>7} nodes ({flow_nodes:>7} flow nodes): full analysis {:>10.1} us \
-             ({:>9.0} nodes/s)",
+             ({:>9.0} nodes/s), graph passes {:>10.1} us",
             ns / 1e3,
             nodes_per_sec,
+            graph_ns / 1e3,
         );
         if i > 0 {
             entries.push(',');
@@ -116,10 +135,18 @@ fn main() {
         write!(
             entries,
             "\n    {{\"nodes\": {nodes}, \"flow_nodes\": {flow_nodes}, \
-             \"analyze_ns\": {ns:.1}, \"nodes_per_sec\": {nodes_per_sec:.0}}}"
+             \"analyze_ns\": {ns:.1}, \"graph_ns\": {graph_ns:.1}, \
+             \"nodes_per_sec\": {nodes_per_sec:.0}}}"
         )
         .expect("write to string");
     }
+    let scaling = rates[2] / rates[1];
+    println!("100k/10k throughput ratio {scaling:.3} (floor {SCALING_FLOOR:.3})");
+    assert!(
+        scaling >= SCALING_FLOOR,
+        "analysis throughput at the 100k rung is {scaling:.3} of the 10k rung's, below the \
+         {SCALING_FLOOR:.3} floor: a super-linear cliff"
+    );
 
     // -- Memoized re-analysis on the largest corpus spec --------------
     // Two variants of `ether` differing in one procedure body; runs
@@ -140,19 +167,12 @@ fn main() {
         .collect();
 
     const ROUNDS: usize = 30;
-    let cold_ns = median(
-        (0..ROUNDS)
-            .map(|k| {
-                let flow = &flows[k % 2];
-                let start = Instant::now();
-                let report =
-                    analyze_compiled_with_flow(&cd, Some(&partition), &config, flow, Some(&sources));
-                let ns = start.elapsed().as_nanos() as f64;
-                black_box(report);
-                ns
-            })
-            .collect(),
-    );
+    let mut k = 0;
+    let cold_ns = time_ns(ROUNDS, || {
+        k += 1;
+        let flow = &flows[(k - 1) % 2];
+        analyze_compiled_with_flow(&cd, Some(&partition), &config, flow, Some(&sources))
+    });
 
     let mut memo = AnalysisMemo::new();
     // Seed the memo once (cold), then time flow-only warm passes.
@@ -167,26 +187,19 @@ fn main() {
     );
     let mut flow_dirt = AnalysisDirt::none();
     flow_dirt.flow = true;
-    let warm_ns = median(
-        (0..ROUNDS)
-            .map(|k| {
-                let flow = &flows[(k + 1) % 2];
-                let start = Instant::now();
-                let report = analyze_compiled_memoized_with_flow(
-                    &cd,
-                    Some(&partition),
-                    &config,
-                    &sources,
-                    Some(flow),
-                    &mut memo,
-                    &flow_dirt,
-                );
-                let ns = start.elapsed().as_nanos() as f64;
-                black_box(report);
-                ns
-            })
-            .collect(),
-    );
+    let mut k = 0;
+    let warm_ns = time_ns(ROUNDS, || {
+        k += 1;
+        analyze_compiled_memoized_with_flow(
+            &cd,
+            Some(&partition),
+            &config,
+            &sources,
+            Some(&flows[k % 2]),
+            &mut memo,
+            &flow_dirt,
+        )
+    });
 
     // Bit-identity: the warm (memoized, cache-sliced) report must equal
     // the cold full analysis of the same edited program exactly.
@@ -223,7 +236,8 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"pr10_analyze\",\n  \"workload\": \
          \"flow-sensitive analysis throughput; memoized one-procedure re-analysis on ether\",\n  \
-         \"sizes\": [{entries}\n  ],\n  \"memoized\": {{\"corpus\": \"ether\", \
+         \"sizes\": [{entries}\n  ],\n  \"scaling_100k_over_10k\": {scaling:.3}, \
+         \"scaling_floor\": {SCALING_FLOOR:.3},\n  \"memoized\": {{\"corpus\": \"ether\", \
          \"rounds\": {ROUNDS}, \"cold_analyze_ns\": {cold_ns:.1}, \
          \"warm_reanalyze_ns\": {warm_ns:.1}, \"speedup\": {speedup:.3}, \
          \"speedup_floor\": {SPEEDUP_FLOOR}, \"bit_identical\": true}}\n}}\n"

@@ -11,7 +11,11 @@
 //!   memo-slice re-estimate → re-lint).
 //!
 //! Writes `BENCH_edit.json` (or the path given as the first argument).
-//! The tentpole target: ≥10x speedup at the ≥1k-node size.
+//! The design target is a ≥10x speedup at the ≥1k-node size; what is
+//! asserted is [`SPEEDUP_FLOOR`] at the ~1200-node rung. Three runs on
+//! a 2-core host measured 5.1x, 5.1x and 4.5x there, and the floor sits
+//! below 2/3 of that median so host noise cannot trip it while a real
+//! regression still does.
 
 use slif_session::{EditDelta, EditSession, RecomputeTier, SessionConfig};
 use std::fmt::Write as _;
@@ -20,6 +24,9 @@ use std::time::Instant;
 
 const COLD_ROUNDS: usize = 7;
 const EDITS: usize = 60;
+
+/// Lowest allowed cold-open / warm-edit ratio at the ~1200-node rung.
+const SPEEDUP_FLOOR: f64 = 3.0;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
@@ -110,12 +117,20 @@ fn main() {
              \"edit_ns\": {edit:.1}, \"speedup\": {speedup:.3}}}"
         )
         .expect("write to string");
+        if processes >= 600 {
+            assert!(
+                speedup >= SPEEDUP_FLOOR,
+                "{nodes}-node warm edit speedup {speedup:.2}x fell below the \
+                 {SPEEDUP_FLOOR}x floor (cold {cold:.0} ns, edit {edit:.0} ns)"
+            );
+        }
     }
 
     let json = format!(
         "{{\n  \"bench\": \"pr8_edit_session\",\n  \"workload\": \
          \"one-procedure body edit through an EditSession vs a cold pipeline rebuild\",\n  \
-         \"cold_rounds\": {COLD_ROUNDS},\n  \"edits\": {EDITS},\n  \"sizes\": [{entries}\n  ]\n}}\n"
+         \"cold_rounds\": {COLD_ROUNDS},\n  \"edits\": {EDITS},\n  \
+         \"speedup_floor\": {SPEEDUP_FLOOR},\n  \"sizes\": [{entries}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write bench json");
     println!("wrote {out_path}");

@@ -13,7 +13,8 @@ use slif::analyze::{
 use slif::core::faults::FaultInjector;
 use slif::core::gen::DesignGenerator;
 use slif::core::{
-    AccessFreq, AccessKind, ClassKind, CompiledDesign, Design, NodeKind, Partition,
+    AccessFreq, AccessKind, ClassKind, CompiledDesign, ConcurrencyTag, Design, NodeKind, Partition,
+    PmRef,
 };
 use slif::frontend::{all_software_partition, allocate_proc_asic, build_design};
 use slif::speclang::{corpus, parse, FlowProgram};
@@ -224,5 +225,139 @@ proptest! {
         prop_assert_eq!(denied.len(), base.len());
         prop_assert_eq!(denied.deny_count(), base.len());
         prop_assert_eq!(denied.warn_count(), 0);
+    }
+}
+
+/// One randomised race workload: a generated design with some channels'
+/// frequencies zeroed (unproven interleavings), some channels tagged into
+/// concurrency groups (scheduled apart or not), and a partition that is
+/// reshuffled, partly unmapped, or absent.
+fn race_case(seed: u64) -> (Design, Option<Partition>) {
+    use rand::{Rng, SeedableRng};
+    let (behaviors, variables) = if seed % 20 == 0 {
+        (450, 60) // enough processes (> 64) to span several index words
+    } else {
+        (4 + (seed % 40) as usize, 2 + (seed % 12) as usize)
+    };
+    let (mut design, mut partition) = DesignGenerator::new(seed)
+        .behaviors(behaviors)
+        .variables(variables)
+        .processors(1 + (seed % 3) as usize)
+        .buses(1)
+        .build();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed_2ace);
+    let channels: Vec<_> = design.graph().channel_ids().collect();
+    for c in channels {
+        let ch = design.graph_mut().channel_mut(c);
+        if rng.gen_bool(0.2) {
+            *ch.freq_mut() = AccessFreq::new(0.0, 0, 0);
+        }
+        if rng.gen_bool(0.3) {
+            ch.set_tag(ConcurrencyTag::group(rng.gen_range(0u32..3)));
+        }
+    }
+    if rng.gen_bool(0.2) {
+        return (design, None);
+    }
+    let cpus: Vec<PmRef> = design.processor_ids().map(PmRef::from).collect();
+    let nodes: Vec<_> = design.graph().node_ids().collect();
+    for n in nodes {
+        let roll: f64 = rng.gen();
+        if roll < 0.1 {
+            partition.unassign_node(n);
+        } else if roll < 0.5 {
+            partition.assign_node(n, cpus[rng.gen_range(0..cpus.len())]);
+        }
+    }
+    (design, Some(partition))
+}
+
+/// The `A001`/`A010` findings of one race case, rendered with anchors.
+fn race_rendering(seed: u64) -> String {
+    let (design, partition) = race_case(seed);
+    let report = analyze(&design, partition.as_ref(), &AnalysisConfig::new());
+    report
+        .findings()
+        .iter()
+        .filter(|f| matches!(f.lint, LintId::SharedVariableRace | LintId::UnprovenInterleaving))
+        .map(|f| format!("{f} @ {:?} {:?}\n", f.node, f.channel))
+        .collect()
+}
+
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Combined digest of [`race_rendering`] over seeds `0..RACE_SEEDS`,
+/// pinned from the original two-scan, dense-bitset race detector. Any
+/// change to race findings, their order, anchors or messages moves it.
+const RACE_SEEDS: u64 = 200;
+const RACE_DIGEST: u64 = 0x768be5bd_eab7a1e9;
+
+/// Per-seed digests (low 32 bits) behind [`RACE_DIGEST`], so a mismatch
+/// can name the first seed whose findings moved.
+const RACE_SEED_DIGESTS: [u32; RACE_SEEDS as usize] = [
+    0xc347a684, 0x84222325, 0x84222325, 0x84222325, 0xe5dd850a, 0x84222325,
+    0xe7bb03aa, 0xd7323b63, 0x07f86f81, 0xe23177d2, 0x2b36fd45, 0x84222325,
+    0x84222325, 0x84222325, 0x2dea0af7, 0x84222325, 0x6114e025, 0x1d1e57de,
+    0x84222325, 0x29332c11, 0x09439262, 0x84222325, 0x44c7abc1, 0x4a65aa82,
+    0xefba0e78, 0x0f454c84, 0x5d3e638f, 0x48843347, 0xe1473b77, 0xd5c50610,
+    0x9e61fb89, 0x29f0d0fb, 0xc9f7d64d, 0x84222325, 0xd824d81c, 0x60f2cc28,
+    0x84222325, 0xcd4448b8, 0x2ce346a5, 0xae045c92, 0x6dee98a5, 0x3541962e,
+    0xe4136f6f, 0x46353c97, 0x35f1e8b8, 0xdf32ee65, 0x84222325, 0x84222325,
+    0x84222325, 0xcf89cd6e, 0xb4c44ec4, 0xfa4b137a, 0xd75d2b38, 0x8d50617f,
+    0x84222325, 0x202fc93e, 0x273ee624, 0x5bf60eb5, 0x84222325, 0xab9123f1,
+    0xad403985, 0x84222325, 0x7c3f90e1, 0x8e9b2ca9, 0x46f8428c, 0x6cafaca5,
+    0x84222325, 0x5099e74f, 0x89278c26, 0x84222325, 0x84222325, 0x201fe569,
+    0x84222325, 0x5ca9ce7b, 0xd27afa25, 0x84222325, 0xe268f109, 0xf37cb429,
+    0x72ebc0a0, 0x84222325, 0xc3aa9455, 0x84222325, 0x84222325, 0x84222325,
+    0xaf2b53ec, 0xec59360f, 0x84222325, 0x84222325, 0xe3430298, 0x27dbe381,
+    0x84222325, 0xf06b31fa, 0x7227c3b9, 0x8c835b33, 0x84222325, 0xbcf48371,
+    0xf6544769, 0x84222325, 0xcac96d95, 0x84222325, 0xc834314f, 0x0bbcc02a,
+    0x84222325, 0x4a913246, 0x16c84dd6, 0x84222325, 0x7a2e680e, 0x6a7ceffe,
+    0x84222325, 0xde3a0cae, 0xb90fb8e5, 0x3953bfa3, 0x836b4134, 0xa793f424,
+    0xd1761c5e, 0x8b5e62e3, 0x164aa742, 0xe1eab9e9, 0x097057a2, 0xb63f1338,
+    0x9ad850cd, 0x84222325, 0x84222325, 0x84222325, 0x84222325, 0x2c1d0d5f,
+    0xc31a8eaf, 0x3395fb82, 0xebeaae2a, 0x84222325, 0x49e0bdf9, 0x84222325,
+    0x7fbc9827, 0xa00aa796, 0x96ce646c, 0x84222325, 0x241b0643, 0x172e212a,
+    0x84222325, 0x4bf150de, 0x9e4d8380, 0xcef487b2, 0x09fbb868, 0x9e36f17e,
+    0x2f7186f4, 0x84222325, 0xfb940898, 0x62b90b33, 0x88d47116, 0x0a51a331,
+    0x512e2acc, 0x50ea3a54, 0x6d44b891, 0xf57a9ed5, 0xb9f697be, 0x78eb24a1,
+    0x84222325, 0xdb45529c, 0x95f07b61, 0x84222325, 0xf06c9d21, 0x84222325,
+    0x84222325, 0x84222325, 0x3930da77, 0x84222325, 0x84222325, 0xded35385,
+    0x84222325, 0x7d1f1fc3, 0x32e58573, 0x84222325, 0xc6d99772, 0x4267dd43,
+    0x84222325, 0xa928cb7f, 0x2fad1a1f, 0x84222325, 0x84222325, 0xfe3ddab8,
+    0x47bb20d7, 0x84222325, 0x84222325, 0xcc64bd96, 0xe025ef7a, 0xe6f12b5c,
+    0x3c8885f3, 0xd8686b54, 0xf48be153, 0x84222325, 0x683e36f9, 0xa288b09b,
+    0x84222325, 0x193679c5, 0x2723e837, 0x67d189c2, 0xea0f17a5, 0x699e576b,
+    0x36d6b3cc, 0xabc67b84,
+];
+
+#[test]
+fn race_findings_match_the_pinned_digest() {
+    let renderings: Vec<String> = (0..RACE_SEEDS).map(race_rendering).collect();
+    let combined = renderings
+        .iter()
+        .fold(FNV_OFFSET, |h, r| fnv1a(h, r.as_bytes()));
+    let seeds: Vec<u32> = renderings
+        .iter()
+        .map(|r| fnv1a(FNV_OFFSET, r.as_bytes()) as u32)
+        .collect();
+    if combined != RACE_DIGEST {
+        eprintln!("per-seed digests of this tree:");
+        for chunk in seeds.chunks(6) {
+            let row: Vec<String> = chunk.iter().map(|d| format!("{d:#010x},")).collect();
+            eprintln!("    {}", row.join(" "));
+        }
+        let first = (0..RACE_SEEDS as usize)
+            .find(|&s| seeds[s] != RACE_SEED_DIGESTS[s])
+            .unwrap_or(0);
+        panic!(
+            "race findings moved: digest {combined:#018x}, pinned {RACE_DIGEST:#018x}; \
+             first differing seed {first}:\n{}",
+            renderings[first]
+        );
     }
 }
