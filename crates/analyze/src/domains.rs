@@ -351,7 +351,7 @@ fn calls_user(op: &FlowOp) -> bool {
         }
         FlowOp::Assign { index, value, .. } => {
             value.calls_user_code()
-                || index.as_ref().is_some_and(FlowExpr::calls_user_code)
+                || index.as_deref().is_some_and(FlowExpr::calls_user_code)
         }
         FlowOp::Branch { cond, .. } => cond.calls_user_code(),
         FlowOp::Send { value, .. } => value.calls_user_code(),

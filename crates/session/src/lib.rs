@@ -13,15 +13,26 @@
 //!    ([`reparse_with_edit`](slif_speclang::reparse_with_edit)): only the
 //!    top-level items the edit touches are re-lexed and re-parsed,
 //!    downstream spans are rebased.
-//! 2. **Build** — per-behavior construction cache
+//! 2. **Resolve and lower** — the session keeps the symbol tables and
+//!    the lowered [`FlowProgram`] of the last clean revision. A
+//!    region-confined edit re-resolves ([`try_resolve_region`]) and
+//!    re-lowers ([`FlowProgram::relower`]) only the behaviors in the
+//!    region ([`region_candidates`]); the other flow graphs are reused
+//!    with shifted spans. Each entry point checks what reuse assumes —
+//!    behavior count and names, global scope and constants for the flow
+//!    program; each dirty behavior's name, index, kind and parameter
+//!    count for the resolver — and falls back to the whole-program path
+//!    otherwise (the resolver also on any diagnostic). Any other edit
+//!    drops both products before rebuilding them.
+//! 3. **Build** — per-behavior construction cache
 //!    ([`BuildCache`](slif_frontend::BuildCache)): only behaviors whose
 //!    declarations changed are re-lowered, re-compiled, re-synthesized.
-//! 3. **Estimate** — annotation patch
+//! 4. **Estimate** — annotation patch
 //!    ([`rebase_annotations`](IncrementalEstimator::rebase_annotations)):
 //!    when the edit left the graph topology intact, the compiled view is
 //!    patched in place and only memo entries depending on dirty nodes
 //!    recompute; a topology change falls back to a cold compile.
-//! 4. **Lint** — the analyzer re-runs over the patched compiled view
+//! 5. **Lint** — the analyzer re-runs over the patched compiled view
 //!    with spans re-attached from the rebased [`SourceMap`].
 //!
 //! Whatever the path, the state after `apply_edit` is **bit-identical**
@@ -69,8 +80,8 @@ use slif_frontend::{
     BuildCache, BuildOptions,
 };
 use slif_speclang::{
-    parse_partial_with_limits, try_resolve, Diagnostic, FlowProgram, ParseLimits, Reparse,
-    ReparseScope, ResolvedSpec, SourceMap, Spec,
+    parse_partial_with_limits, region_candidates, try_resolve, try_resolve_region, Diagnostic,
+    FlowProgram, ParseLimits, Reparse, ReparseScope, ResolveTables, ResolvedSpec, SourceMap, Spec,
 };
 use slif_techlib::TechnologyLibrary;
 
@@ -155,6 +166,16 @@ struct GoodState {
     memo: AnalysisMemo,
 }
 
+/// Front-end products of the last clean revision that the next
+/// region-confined edit rebuilds only for the behaviors it touched.
+#[derive(Debug)]
+struct FrontEnd {
+    /// Symbol tables, for [`try_resolve_region`].
+    tables: ResolveTables,
+    /// The lowered flow program, for [`FlowProgram::relower`].
+    flow: FlowProgram,
+}
+
 /// A long-lived handle over one evolving specification and every derived
 /// pipeline product. See the crate docs for the recompute tiers.
 #[derive(Debug)]
@@ -167,6 +188,8 @@ pub struct EditSession {
     parsed: Option<Spec>,
     /// Current parse/resolution diagnostics (empty iff clean).
     diagnostics: Vec<Diagnostic>,
+    /// Present exactly when the current revision is clean.
+    front: Option<FrontEnd>,
     good: Option<GoodState>,
     cache: BuildCache,
     /// Edits that took the cold path, for operational metrics.
@@ -186,6 +209,7 @@ impl EditSession {
             revision: 0,
             parsed: None,
             diagnostics: Vec::new(),
+            front: None,
             good: None,
             cache: BuildCache::new(),
             full_rebuilds: 0,
@@ -304,15 +328,27 @@ impl EditSession {
         // (which re-checks every behavior) takes over.
         let prev_good = self.diagnostics.is_empty() && self.good.is_some();
         self.source = source;
+        // The behaviors this edit may have rewritten, when the last
+        // revision's front end can be reused for the rest. Otherwise the
+        // stale products are dropped before anything is rebuilt.
+        let front = self.front.take().filter(|_| prev_good);
+        let region = front.and_then(|f| Some((region_candidates(&spec, scope)?, f)));
         if !diags.is_empty() {
             self.parsed = None;
             self.diagnostics = diags;
             return self.update(RecomputeTier::Deferred, scope, 0);
         }
-        // `try_resolve` hands the AST back on failure, so the session
+        // Both resolvers hand the AST back on failure, so the session
         // keeps its reparse seed without cloning a whole spec per edit
         // (the clone was the single largest warm-path cost at 1k nodes).
-        let resolved = match try_resolve(spec) {
+        let (resolved, prev_flow) = match region {
+            Some((dirty, front)) => (
+                try_resolve_region(spec, front.tables, &dirty),
+                Some((front.flow, dirty)),
+            ),
+            None => (try_resolve(spec), None),
+        };
+        let resolved = match resolved {
             Ok(rs) => rs,
             Err((spec, e)) => {
                 self.parsed = Some(spec);
@@ -321,38 +357,49 @@ impl EditSession {
             }
         };
         self.diagnostics.clear();
-        let update = self.recompute(&resolved, scope, prev_good);
-        self.parsed = Some(resolved.into_spec());
+        let (flow, dirty) = match prev_flow {
+            Some((prev, dirty)) => (
+                FlowProgram::relower(prev, resolved.spec(), &dirty),
+                Some(dirty),
+            ),
+            None => (FlowProgram::from_spec(resolved.spec()), None),
+        };
+        let update = self.recompute(&resolved, &flow, scope, dirty.as_deref());
+        let (spec, tables) = resolved.into_parts();
+        self.parsed = Some(spec);
+        if self.diagnostics.is_empty() {
+            self.front = Some(FrontEnd { tables, flow });
+        }
         update
     }
 
     /// The post-resolution half of [`ingest`](Self::ingest): fast-path
-    /// dispatch, cold rebuild, pipeline routing.
+    /// dispatch, cold rebuild, pipeline routing. `dirty` is set when the
+    /// edit was region-confined over a clean, built revision.
     fn recompute(
         &mut self,
         resolved: &ResolvedSpec,
+        flow: &FlowProgram,
         scope: ReparseScope,
-        prev_good: bool,
+        dirty: Option<&[usize]>,
     ) -> SessionUpdate {
         // Fast path: a region-confined edit over a warm clean session
         // patches the existing design in place — no rebuild, no
         // re-allocation, no partition rebuild, per-pass lint slicing.
-        if let ReparseScope::Region { start, end } = scope {
-            if prev_good {
-                match self.patch_slice(resolved, start, end) {
-                    Some(Ok(dirty_nodes)) => {
-                        return self.update(RecomputeTier::Patched, scope, dirty_nodes);
-                    }
-                    Some(Err(e)) => {
-                        self.good = None;
-                        self.diagnostics = vec![Diagnostic::new(
-                            slif_speclang::Span::dummy(),
-                            format!("estimation failed: {e}"),
-                        )];
-                        return self.update(RecomputeTier::Deferred, scope, 0);
-                    }
-                    None => {} // not patchable: fall through to the rebuild
+        if let Some(candidates) = dirty {
+            match self.patch_slice(resolved, flow, candidates) {
+                Some(Ok(dirty_nodes)) => {
+                    return self.update(RecomputeTier::Patched, scope, dirty_nodes);
                 }
+                Some(Err(e)) => {
+                    self.good = None;
+                    self.diagnostics = vec![Diagnostic::new(
+                        slif_speclang::Span::dummy(),
+                        format!("estimation failed: {e}"),
+                    )];
+                    return self.update(RecomputeTier::Deferred, scope, 0);
+                }
+                None => {} // not patchable: fall through to the rebuild
             }
         }
 
@@ -376,9 +423,8 @@ impl EditSession {
         };
         let partition = all_software_partition(&design, arch);
         let sources = SourceMap::from_spec(resolved.spec());
-        let flow = FlowProgram::from_spec(resolved.spec());
 
-        match self.pipeline(design, partition, &sources, &flow) {
+        match self.pipeline(design, partition, &sources, flow) {
             Ok((tier, dirty_nodes)) => self.update(tier, scope, dirty_nodes),
             Err(e) => {
                 // A design the estimator rejects outright (e.g. a weight
@@ -395,7 +441,7 @@ impl EditSession {
     }
 
     /// The in-place recompute slice for an edit whose reparse was
-    /// confined to `[start, end)` of the new source and whose previous
+    /// confined to the behaviors at `candidates` and whose previous
     /// revision was clean. Returns `None` when the edit is not
     /// patchable (the caller rebuilds through the cache), `Some(Err)`
     /// when re-estimation itself failed, and `Some(Ok(dirty_nodes))` on
@@ -403,19 +449,18 @@ impl EditSession {
     fn patch_slice(
         &mut self,
         resolved: &ResolvedSpec,
-        start: usize,
-        end: usize,
+        flow: &FlowProgram,
+        candidates: &[usize],
     ) -> Option<Result<usize, slif_core::CoreError>> {
         let g = self.good.as_mut()?;
         let spec = resolved.spec();
-        let candidates = region_candidates(spec, start, end)?;
         try_patch_design(
             resolved,
             &self.config.library,
             &BuildOptions::default(),
             &mut self.cache,
             &mut g.design,
-            &candidates,
+            candidates,
         )?;
         // The patch holds topology invariant by construction, so the
         // rebase cannot reject it; treat a rejection as "not patchable"
@@ -434,7 +479,6 @@ impl EditSession {
             // inside the memo re-solves only behaviors whose structure
             // actually changed, and re-materializes moved spans for the
             // rest.
-            let flow = FlowProgram::from_spec(spec);
             let mut dirt = AnalysisDirt::from(&delta);
             dirt.flow = true;
             // The span map costs O(decls) to build but only findings
@@ -447,7 +491,7 @@ impl EditSession {
                 Some(&g.partition),
                 &lint_cfg,
                 &empty,
-                Some(&flow),
+                Some(flow),
                 &mut g.memo,
                 &dirt,
             );
@@ -458,7 +502,7 @@ impl EditSession {
                     Some(&g.partition),
                     &lint_cfg,
                     &sources,
-                    Some(&flow),
+                    Some(flow),
                     &mut g.memo,
                     &AnalysisDirt::none(),
                 )
@@ -542,30 +586,6 @@ impl EditSession {
             analysis: self.analysis().cloned(),
         }
     }
-}
-
-/// The behaviors a region-confined reparse may have rewritten: those
-/// whose span intersects `[start, end)` of the *new* source (the splice
-/// guarantees text outside the region is byte-identical to the previous
-/// revision). Returns `None` when a port, const, or var declaration
-/// intersects the region — those feed signatures and channel widths
-/// everywhere, so the edit is not behavior-local.
-fn region_candidates(spec: &Spec, start: usize, end: usize) -> Option<Vec<usize>> {
-    let hits = |s: slif_speclang::Span| s.start < end && s.end > start;
-    if spec.ports.iter().any(|p| hits(p.span))
-        || spec.consts.iter().any(|c| hits(c.span))
-        || spec.vars.iter().any(|v| hits(v.span))
-    {
-        return None;
-    }
-    Some(
-        spec.behaviors
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| hits(b.span))
-            .map(|(i, _)| i)
-            .collect(),
-    )
 }
 
 /// A shared, lockable [`EditSession`] — the form a session takes when it

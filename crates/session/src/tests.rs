@@ -289,3 +289,84 @@ proptest! {
         }
     }
 }
+
+/// Flow findings (A006–A009) sit in behaviors *after* the one being
+/// edited, and the edits add and remove lines, so every reused
+/// behavior's node spans must shift. After each edit the warm analysis
+/// must equal a cold open's, by `==` and in its rendering.
+#[test]
+fn flow_findings_after_a_line_changing_edit_match_cold() {
+    const SRC: &str = concat!(
+        "system Flow;\n",
+        "var x : int<8>;\n",
+        "var y : int<8>;\n",
+        "proc Edited() {\n",
+        "  y = 1;\n",
+        "}\n",
+        "proc Overflow() {\n",
+        "  x = 300;\n",
+        "}\n",
+        "proc Uninit() {\n",
+        "  var t : int<8>;\n",
+        "  x = t;\n",
+        "}\n",
+        "proc Dead() {\n",
+        "  var d : int<8>;\n",
+        "  d = 1;\n",
+        "}\n",
+        "proc Constant() {\n",
+        "  if 1 > 0 {\n",
+        "    x = 1;\n",
+        "  } else {\n",
+        "    x = 2;\n",
+        "  }\n",
+        "}\n",
+        "process Main {\n",
+        "  call Edited();\n",
+        "  call Overflow();\n",
+        "  call Uninit();\n",
+        "  call Dead();\n",
+        "  call Constant();\n",
+        "  wait 5;\n",
+        "}\n",
+    );
+    let config = SessionConfig::default();
+    let (mut session, _) = EditSession::open(SRC, config.clone());
+    let codes = |s: &EditSession| {
+        let rendered = s.analysis().map(ToString::to_string).unwrap_or_default();
+        ["A006", "A007", "A008", "A009"].map(|c| rendered.contains(c))
+    };
+    assert_eq!(codes(&session), [true; 4], "{:?}", session.analysis());
+    // Grow Edited by one, then three lines; shrink it back; then shrink
+    // and regrow a line's bytes without changing the line count.
+    let anchor = "  y = 1;\n";
+    let edits: [(&str, &str); 5] = [
+        (anchor, "  y = 1;\n  y = 2;\n"),
+        ("  y = 2;\n", "  y = 2;\n  y = 3;\n\n  y = 4;\n"),
+        ("  y = 2;\n  y = 3;\n\n  y = 4;\n", ""),
+        (anchor, "  y = 100;\n"),
+        ("  y = 100;\n", anchor),
+    ];
+    for (step, (from, to)) in edits.iter().enumerate() {
+        let at = session.source().find(from).unwrap();
+        let update = session
+            .apply_edit(&EditDelta::new(at, at + from.len(), *to))
+            .unwrap();
+        assert!(update.clean, "step {step}: {:?}", update.diagnostics);
+        assert_eq!(update.tier, RecomputeTier::Patched, "step {step}");
+        assert!(
+            matches!(update.scope, slif_speclang::ReparseScope::Region { .. }),
+            "step {step}: {:?}",
+            update.scope
+        );
+        let (cold, _) = EditSession::open(session.source(), config.clone());
+        assert_eq!(session.analysis(), cold.analysis(), "step {step}");
+        assert_eq!(
+            session.analysis().map(ToString::to_string),
+            cold.analysis().map(ToString::to_string),
+            "step {step}"
+        );
+        assert_eq!(codes(&session), [true; 4], "step {step}");
+        assert_eq!(session.estimate(), cold.estimate(), "step {step}");
+    }
+}

@@ -152,8 +152,9 @@ pub enum FlowOp {
     Assign {
         /// Target slot.
         dst: u32,
-        /// Element selector for array-element writes.
-        index: Option<FlowExpr>,
+        /// Element selector for array-element writes (boxed: rare, and
+        /// inline it would grow every node by a whole expression).
+        index: Option<Box<FlowExpr>>,
         /// The stored value.
         value: FlowExpr,
     },
@@ -176,15 +177,15 @@ pub enum FlowOp {
     Send {
         /// Receiving behavior name.
         target: String,
-        /// The payload.
-        value: FlowExpr,
+        /// The payload (boxed: rare, and inline it would grow every node).
+        value: Box<FlowExpr>,
     },
     /// A message receive into `dst`.
     Receive {
         /// Target slot.
         dst: u32,
         /// Element selector for array-element targets.
-        index: Option<FlowExpr>,
+        index: Option<Box<FlowExpr>>,
     },
     /// A return (edges to the exit node).
     Return {
@@ -206,7 +207,82 @@ pub struct FlowNode {
     /// header test, increment, joins) rather than written by the user.
     pub synthetic: bool,
     /// Successor node indices.
-    pub succs: Vec<u32>,
+    pub succs: Succs,
+}
+
+/// The successor indices of a [`FlowNode`], read as a slice. Every node
+/// but the entry of a fork with three or more arms has at most two, and
+/// those are stored inline: a node costs no allocation for its edges.
+#[derive(Clone, Default)]
+pub struct Succs(SuccsRepr);
+
+#[derive(Clone)]
+enum SuccsRepr {
+    /// Up to two targets, unused slots holding [`NO_SUCC`] (no node has
+    /// that index: it would be the `u32::MAX + 1`-th).
+    Inline([u32; 2]),
+    Spilled(Box<[u32]>),
+}
+
+const NO_SUCC: u32 = u32::MAX;
+
+impl Default for SuccsRepr {
+    fn default() -> Self {
+        SuccsRepr::Inline([NO_SUCC; 2])
+    }
+}
+
+impl Succs {
+    fn push(&mut self, target: u32) {
+        match &mut self.0 {
+            SuccsRepr::Inline(slots) => match slots.iter_mut().find(|t| **t == NO_SUCC) {
+                Some(free) => *free = target,
+                None => self.0 = SuccsRepr::Spilled(Box::new([slots[0], slots[1], target])),
+            },
+            SuccsRepr::Spilled(all) => {
+                let mut grown = all.to_vec();
+                grown.push(target);
+                *all = grown.into_boxed_slice();
+            }
+        }
+    }
+}
+
+impl std::ops::Deref for Succs {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match &self.0 {
+            SuccsRepr::Inline(slots) => {
+                let len = slots.iter().take_while(|&&t| t != NO_SUCC).count();
+                &slots[..len]
+            }
+            SuccsRepr::Spilled(all) => all,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Succs {
+    type Item = &'a u32;
+    type IntoIter = std::slice::Iter<'a, u32>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Succs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Succs {}
+
+impl std::fmt::Debug for Succs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl FlowNode {
@@ -254,7 +330,7 @@ impl FlowNode {
 }
 
 /// The control-flow graph of one behavior.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowBehavior {
     /// The behavior's name.
     pub name: String,
@@ -285,6 +361,26 @@ impl FlowBehavior {
             }
         }
         preds
+    }
+
+    /// This graph with its node spans shifted to a moved but otherwise
+    /// unchanged declaration at `decl`, or `None` when `decl` cannot be
+    /// the same text (its length or column differs). The entry node
+    /// carries the declaration's own span; every other node shifts by
+    /// the same byte and line delta, as the reparse shifted the AST.
+    fn moved_to(mut self, decl: Span) -> Option<Self> {
+        let from = self.nodes.first()?.span;
+        if from.end - from.start != decl.end - decl.start || from.col != decl.col {
+            return None;
+        }
+        let byte_delta = decl.start as isize - from.start as isize;
+        let line_delta = i64::from(decl.line) - i64::from(from.line);
+        if byte_delta != 0 || line_delta != 0 {
+            for n in &mut self.nodes {
+                n.span = n.span.rebased(byte_delta, line_delta);
+            }
+        }
+        Some(self)
     }
 
     /// Names of user behaviors this one calls (statement or expression
@@ -415,13 +511,18 @@ impl Suppressions {
 
 /// A whole specification lowered for dataflow analysis: one CFG per
 /// behavior plus the collected suppressions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowProgram {
     /// Per-behavior graphs, in declaration order.
     pub behaviors: Vec<FlowBehavior>,
     /// `@allow` suppressions from the same specification.
     pub suppressions: Suppressions,
     index: BTreeMap<String, usize>,
+    /// The only inputs a behavior's lowering reads besides its own
+    /// declaration; [`relower`](Self::relower) reuses graphs only while
+    /// both are unchanged.
+    globals: GlobalScope,
+    consts: BTreeMap<String, i128>,
 }
 
 impl FlowProgram {
@@ -429,22 +530,91 @@ impl FlowProgram {
     /// lower to [`FlowExpr::Unknown`], which every analysis treats as
     /// "no information".
     pub fn from_spec(spec: &Spec) -> Self {
+        Self::lower(spec, None, &[])
+    }
+
+    /// Lowers `spec`, the result of an edit to the specification `prev`
+    /// was lowered from, re-lowering only the behaviors at the `dirty`
+    /// indices. Every other graph is moved over from `prev` with its
+    /// node spans shifted to its new declaration. The result equals
+    /// [`from_spec`](Self::from_spec) of `spec` — spans and hashes
+    /// included — provided each clean behavior's declaration is textually
+    /// unchanged (only moved), as
+    /// [`region_candidates`](crate::region_candidates) guarantees.
+    ///
+    /// What this method can check itself, it does: unless the behavior
+    /// count, the name at every clean index, the global scope and the
+    /// constant table are all unchanged, it lowers everything, and it
+    /// re-lowers a clean behavior whose declaration changed length or
+    /// column.
+    pub fn relower(prev: FlowProgram, spec: &Spec, dirty: &[usize]) -> Self {
+        Self::lower(spec, Some(prev), dirty)
+    }
+
+    /// The one lowering path: [`from_spec`](Self::from_spec) is the case
+    /// where nothing can be reused.
+    fn lower(spec: &Spec, prev: Option<FlowProgram>, dirty: &[usize]) -> Self {
         let consts = fold_consts(spec);
-        let globals = GlobalScope::new(spec);
+        let prev = prev.filter(|p| {
+            p.behaviors.len() == spec.behaviors.len()
+                && p.consts == consts
+                && p.globals.matches(spec)
+                && p.behaviors
+                    .iter()
+                    .zip(&spec.behaviors)
+                    .enumerate()
+                    .all(|(i, (fb, decl))| fb.name == decl.name || dirty.contains(&i))
+        });
+        let (globals, old, old_index) = match prev {
+            Some(FlowProgram {
+                behaviors,
+                index,
+                globals,
+                ..
+            }) => {
+                let mut old: Vec<Option<FlowBehavior>> = behaviors.into_iter().map(Some).collect();
+                for &i in dirty {
+                    if let Some(slot) = old.get_mut(i) {
+                        *slot = None;
+                    }
+                }
+                (globals, old, Some(index))
+            }
+            None => (GlobalScope::new(spec), Vec::new(), None),
+        };
         let behaviors: Vec<FlowBehavior> = spec
             .behaviors
             .iter()
-            .map(|b| Builder::lower(b, &globals, &consts))
+            .zip(old.into_iter().chain(std::iter::repeat_with(|| None)))
+            .map(
+                |(decl, old)| match old.and_then(|fb| fb.moved_to(decl.span)) {
+                    Some(fb) => fb,
+                    None => Builder::lower(decl, &globals, &consts),
+                },
+            )
             .collect();
-        let index = behaviors
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.name.clone(), i))
-            .collect();
+        // The name index survives when every re-lowered behavior kept
+        // its name (`index[name] == i` means index `i` had that name).
+        let index = match old_index {
+            Some(ix)
+                if dirty
+                    .iter()
+                    .all(|&i| behaviors.get(i).is_none_or(|b| ix.get(&b.name) == Some(&i))) =>
+            {
+                ix
+            }
+            _ => behaviors
+                .iter()
+                .enumerate()
+                .map(|(i, b)| (b.name.clone(), i))
+                .collect(),
+        };
         FlowProgram {
             behaviors,
             suppressions: Suppressions::from_spec(spec),
             index,
+            globals,
+            consts,
         }
     }
 
@@ -529,34 +699,77 @@ fn eval_const(e: &Expr, consts: &BTreeMap<String, i128>) -> Option<i128> {
     }
 }
 
+#[derive(Debug, Clone, PartialEq)]
 struct GlobalScope {
-    slots: BTreeMap<String, SlotInfo>,
+    /// Ports, then system variables, in declaration order.
+    decls: Vec<SlotInfo>,
+    /// Name to index into `decls`; a later declaration of a name wins.
+    by_name: BTreeMap<String, usize>,
 }
 
 impl GlobalScope {
     fn new(spec: &Spec) -> Self {
-        let mut slots = BTreeMap::new();
-        for p in &spec.ports {
-            slots.insert(p.name.clone(), slot_info(&p.name, SlotKind::Port(p.direction), &p.ty));
-        }
-        for v in &spec.vars {
-            slots.insert(v.name.clone(), slot_info(&v.name, SlotKind::Global, &v.ty));
-        }
-        GlobalScope { slots }
+        let decls: Vec<SlotInfo> = spec
+            .ports
+            .iter()
+            .map(|p| slot_info(&p.name, SlotKind::Port(p.direction), &p.ty))
+            .chain(
+                spec.vars
+                    .iter()
+                    .map(|v| slot_info(&v.name, SlotKind::Global, &v.ty)),
+            )
+            .collect();
+        let by_name = decls
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.name.clone(), i))
+            .collect();
+        GlobalScope { decls, by_name }
+    }
+
+    /// Whether [`new`](Self::new) of `spec` would build this scope, by
+    /// one in-order pass over the declarations instead of a rebuild.
+    fn matches(&self, spec: &Spec) -> bool {
+        let ports = spec
+            .ports
+            .iter()
+            .map(|p| (&p.name, SlotKind::Port(p.direction), &p.ty));
+        let vars = spec.vars.iter().map(|v| (&v.name, SlotKind::Global, &v.ty));
+        self.decls.len() == spec.ports.len() + spec.vars.len()
+            && ports
+                .chain(vars)
+                .zip(&self.decls)
+                .all(|((name, kind, ty), s)| {
+                    s.name == *name
+                        && s.kind == kind
+                        && (s.width, s.is_bool, s.is_array) == shape(ty)
+                })
+    }
+
+    fn get(&self, name: &str) -> Option<&SlotInfo> {
+        self.by_name.get(name).map(|&i| &self.decls[i])
     }
 }
 
+/// Width, `is_bool` and `is_array` of a declared type, as [`SlotInfo`]
+/// records them.
+fn shape(ty: &Type) -> (Option<u32>, bool, bool) {
+    let width = match *ty {
+        Type::Int(bits) => Some(bits),
+        Type::Bool => None,
+        Type::Array { elem_bits, .. } => Some(elem_bits),
+    };
+    (width, matches!(ty, Type::Bool), ty.is_array())
+}
+
 fn slot_info(name: &str, kind: SlotKind, ty: &Type) -> SlotInfo {
+    let (width, is_bool, is_array) = shape(ty);
     SlotInfo {
         name: name.to_owned(),
         kind,
-        width: match *ty {
-            Type::Int(bits) => Some(bits),
-            Type::Bool => None,
-            Type::Array { elem_bits, .. } => Some(elem_bits),
-        },
-        is_bool: matches!(ty, Type::Bool),
-        is_array: ty.is_array(),
+        width,
+        is_bool,
+        is_array,
     }
 }
 
@@ -622,6 +835,11 @@ impl<'a> Builder<'a> {
         }
         b.widen_points.sort_unstable();
         b.widen_points.dedup();
+        // Edit sessions keep the program across edits: drop the growth
+        // slack so the retained graphs cost only what they hold.
+        b.nodes.shrink_to_fit();
+        b.slots.shrink_to_fit();
+        b.widen_points.shrink_to_fit();
 
         let ret_width = match &decl.kind {
             BehaviorKind::Function { ret: Type::Int(bits) } => Some(*bits),
@@ -660,7 +878,7 @@ impl<'a> Builder<'a> {
         if self.consts.contains_key(name) {
             return None;
         }
-        let info = self.globals.slots.get(name)?.clone();
+        let info = self.globals.get(name)?.clone();
         Some(self.add_slot(info))
     }
 
@@ -670,7 +888,7 @@ impl<'a> Builder<'a> {
             op,
             span,
             synthetic,
-            succs: Vec::new(),
+            succs: Succs::default(),
         });
         i
     }
@@ -844,7 +1062,7 @@ impl<'a> Builder<'a> {
                 value,
                 span,
             } => {
-                let value = self.expr(value);
+                let value = Box::new(self.expr(value));
                 let n = self.add(
                     FlowOp::Send {
                         target: target.clone(),
@@ -860,7 +1078,7 @@ impl<'a> Builder<'a> {
                 let n = match self.slot_of(lhs.name()) {
                     Some(dst) => {
                         let index = match lhs {
-                            LValue::Index { index, .. } => Some(self.expr(index)),
+                            LValue::Index { index, .. } => Some(Box::new(self.expr(index))),
                             LValue::Name { .. } => None,
                         };
                         self.add(FlowOp::Receive { dst, index }, *span, false)
@@ -890,7 +1108,7 @@ impl<'a> Builder<'a> {
         match self.slot_of(lhs.name()) {
             Some(dst) => {
                 let index = match lhs {
-                    LValue::Index { index, .. } => Some(self.expr(index)),
+                    LValue::Index { index, .. } => Some(Box::new(self.expr(index))),
                     LValue::Name { .. } => None,
                 };
                 self.add(FlowOp::Assign { dst, index, value }, span, synthetic)
@@ -1231,6 +1449,25 @@ mod tests {
     }
 
     #[test]
+    fn fork_with_three_arms_keeps_every_successor() {
+        let p = program(
+            "system T;\nvar x : int<8>;\nproc A() { x = 1; }\n\
+             proc P() { fork { call A(); call A(); call A(); } }\n",
+        );
+        let b = p.get("P").expect("P");
+        let calls: Vec<u32> = (0..b.nodes.len() as u32)
+            .filter(|&i| matches!(b.nodes[i as usize].op, FlowOp::Call { .. }))
+            .collect();
+        let fork = b
+            .nodes
+            .iter()
+            .find(|n| n.succs.len() == 3)
+            .expect("the fork entry has one edge per arm");
+        assert_eq!(*fork.succs, calls[..]);
+        assert_eq!(format!("{:?}", fork.succs), format!("{calls:?}"));
+    }
+
+    #[test]
     fn return_wires_to_exit_and_code_after_is_disconnected() {
         let p = program(
             "system T;\nvar x : int<8>;\n\
@@ -1242,7 +1479,7 @@ mod tests {
             .iter()
             .position(|n| matches!(n.op, FlowOp::Return { .. }))
             .expect("return");
-        assert_eq!(b.nodes[ret].succs, vec![b.exit]);
+        assert_eq!(*b.nodes[ret].succs, [b.exit]);
         // The trailing assignment has no path from entry.
         let preds = b.preds();
         let assign = b
@@ -1280,6 +1517,154 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A fixture with every statement form, so re-lowering has ports,
+    /// constants, arrays, loops, forks, messages and returns to shift.
+    const RELOWER_BASE: &str = concat!(
+        "system Demo;\n",
+        "port in1 : in int<8>;\n",
+        "port out1 : out int<8>;\n",
+        "const K = 4;\n",
+        "var shared : int<8>;\n",
+        "var buf : int<8>[8];\n",
+        "func Helper(x : int<8>) -> int<8> {\n",
+        "  return x + K;\n",
+        "}\n",
+        "proc Fill(n : int<8>) {\n",
+        "  for i in 0 .. 7 {\n",
+        "    buf[i] = n;\n",
+        "  }\n",
+        "}\n",
+        "process Main {\n",
+        "  var t : int<8>;\n",
+        "  t = Helper(in1);\n",
+        "  if t > 3 prob 0.5 {\n",
+        "    shared = t;\n",
+        "  } else {\n",
+        "    fork { call Fill(t); call Fill(1); }\n",
+        "  }\n",
+        "  send Aux t;\n",
+        "  wait 5;\n",
+        "}\n",
+        "process Aux {\n",
+        "  receive buf[2];\n",
+        "  while shared < 9 iters 4 {\n",
+        "    shared = shared + 1;\n",
+        "  }\n",
+        "  out1 = shared;\n",
+        "  wait 9;\n",
+        "}\n",
+    );
+
+    /// Seeded region edits that grow and shrink the text by bytes and
+    /// lines — inside bodies, between behaviors, in the globals ahead of
+    /// them, and after the last one: re-lowering the previous program
+    /// must equal lowering the new AST from scratch, spans and hashes
+    /// included, and must actually reuse clean behaviors.
+    #[test]
+    fn relower_matches_from_spec_across_region_edits() {
+        const INSERTS: &[&str] = &[
+            "  shared = shared + 2;\n",
+            "  wait 1;\n  wait 2;\n",
+            "\n\n",
+            "-- a comment line\n",
+            "var extra : int<16>;\n",
+            "proc Later() {\n  shared = 7;\n}\n",
+            "  if shared > 1 prob 0.5 { shared = 0; }\n",
+        ];
+        let limits = crate::ParseLimits::default();
+        let mut reused = 0usize;
+        let mut relowered = 0usize;
+        for seed in 0..24u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut source = RELOWER_BASE.to_owned();
+            let mut spec = parse(&source).expect("fixture parses");
+            let mut prog = FlowProgram::from_spec(&spec);
+            for step in 0..40 {
+                // Whole-line edits keep the region boundaries at line
+                // starts, so most of them stay regional.
+                let starts: Vec<usize> = std::iter::once(0)
+                    .chain(source.match_indices('\n').map(|(i, _)| i + 1))
+                    .filter(|&i| i < source.len())
+                    .collect();
+                let line = starts[(next() as usize) % starts.len()];
+                let line_end = source[line..].find('\n').map_or(source.len(), |e| line + e + 1);
+                let delta = match next() % 4 {
+                    0 => crate::EditDelta::new(line, line_end, ""),
+                    1 => {
+                        // Grow or shrink one number by a digit.
+                        let Some(d) = source[line..line_end].find(|c: char| c.is_ascii_digit())
+                        else {
+                            continue;
+                        };
+                        let at = line + d;
+                        if next() % 2 == 0 {
+                            crate::EditDelta::new(at, at, "1")
+                        } else {
+                            crate::EditDelta::new(at, at + 1, "")
+                        }
+                    }
+                    _ => crate::EditDelta::new(
+                        line,
+                        line,
+                        INSERTS[(next() as usize) % INSERTS.len()],
+                    ),
+                };
+                let got = crate::reparse_with_edit(&source, &spec, &delta, &limits)
+                    .expect("in-bounds ASCII edit");
+                if !got.diags.is_empty() {
+                    continue; // keep walking from the last clean text
+                }
+                let cold = FlowProgram::from_spec(&got.spec);
+                if let Some(dirty) = crate::region_candidates(&got.spec, got.scope) {
+                    let before: Vec<(String, *const FlowNode)> = prog
+                        .behaviors
+                        .iter()
+                        .map(|b| (b.name.clone(), b.nodes.as_ptr()))
+                        .collect();
+                    prog = FlowProgram::relower(prog, &got.spec, &dirty);
+                    relowered += 1;
+                    reused += prog
+                        .behaviors
+                        .iter()
+                        .filter(|b| before.contains(&(b.name.clone(), b.nodes.as_ptr())))
+                        .count();
+                } else {
+                    prog = FlowProgram::from_spec(&got.spec);
+                }
+                assert_eq!(prog, cold, "seed {seed} step {step}: {delta:?}");
+                source = got.source;
+                spec = got.spec;
+            }
+        }
+        assert!(relowered > 200, "only {relowered} region edits");
+        assert!(reused > relowered, "clean behaviors were not reused");
+    }
+
+    #[test]
+    fn relower_falls_back_when_its_preconditions_fail() {
+        let spec = parse(RELOWER_BASE).expect("fixture parses");
+        let prog = FlowProgram::from_spec(&spec);
+        // A changed global scope, constant table, behavior count, or a
+        // clean behavior's name: whatever `dirty` claims, the result is
+        // a full lowering of the new text.
+        for (from, to) in [
+            ("var shared : int<8>;", "var shared : int<16>;"),
+            ("const K = 4;", "const K = 5;"),
+            ("process Aux {", "proc Extra() { wait 1; }\nprocess Aux {"),
+            ("proc Fill(", "proc Fill2("),
+        ] {
+            let edited = parse(&RELOWER_BASE.replace(from, to)).expect("edit parses");
+            let got = FlowProgram::relower(prog.clone(), &edited, &[]);
+            assert_eq!(got, FlowProgram::from_spec(&edited), "{from} -> {to}");
         }
     }
 

@@ -412,6 +412,36 @@ fn count_newlines(bytes: &[u8]) -> usize {
     bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
+/// The behaviors a dirty-region reparse may have rewritten: those whose
+/// span intersects the reparsed region of the *new* source (the splice
+/// guarantees text outside the region is byte-identical to the previous
+/// revision). `None` after a full reparse, and when a port, const, or
+/// var declaration intersects the region — those feed every behavior,
+/// so the edit is not behavior-local. Outside the returned behaviors
+/// every declaration is unchanged apart from a uniform span shift:
+/// what [`try_resolve_region`](crate::try_resolve_region) and
+/// [`FlowProgram::relower`](crate::FlowProgram::relower) assume.
+pub fn region_candidates(spec: &Spec, scope: ReparseScope) -> Option<Vec<usize>> {
+    let ReparseScope::Region { start, end } = scope else {
+        return None;
+    };
+    let hits = |s: crate::Span| s.start < end && s.end > start;
+    if spec.ports.iter().any(|p| hits(p.span))
+        || spec.consts.iter().any(|c| hits(c.span))
+        || spec.vars.iter().any(|v| hits(v.span))
+    {
+        return None;
+    }
+    Some(
+        spec.behaviors
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| hits(b.span))
+            .map(|(i, _)| i)
+            .collect(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

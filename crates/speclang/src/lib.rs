@@ -52,16 +52,21 @@ mod token;
 pub use ast::{eq_modulo_spans, ForEachSpan, Spec};
 pub use diag::{codes, Diagnostic, Severity, SpecError};
 pub use flow::{
-    FlowBehavior, FlowExpr, FlowNode, FlowOp, FlowProgram, SlotInfo, SlotKind, Suppressions,
+    FlowBehavior, FlowExpr, FlowNode, FlowOp, FlowProgram, SlotInfo, SlotKind, Succs,
+    Suppressions,
 };
 pub use incremental::{
-    reparse_with_edit, reparse_with_edit_owned, EditDelta, EditError, Reparse, ReparseScope,
+    region_candidates, reparse_with_edit, reparse_with_edit_owned, EditDelta, EditError, Reparse,
+    ReparseScope,
 };
 pub use lexer::{lex, lex_recovering};
 pub use limits::ParseLimits;
 pub use parser::{parse, parse_partial, parse_partial_with_limits, parse_with_limits};
 pub use pretty::{expr_str, pretty};
-pub use resolver::{resolve, try_resolve, GlobalSymbol, LocalSymbol, ResolvedSpec, Symbol, BUILTINS};
+pub use resolver::{
+    resolve, try_resolve, try_resolve_region, GlobalSymbol, LocalSymbol, ResolveTables,
+    ResolvedSpec, Symbol, BUILTINS,
+};
 pub use sourcemap::SourceMap;
 pub use span::Span;
 pub use token::{Token, TokenKind};

@@ -58,6 +58,24 @@ impl ResolvedSpec {
         self.spec
     }
 
+    /// Consumes the resolution, returning the AST and its symbol tables.
+    /// An edit session keeps both so the next edit can re-resolve only
+    /// the behaviors it touched ([`try_resolve_region`]).
+    pub fn into_parts(self) -> (Spec, ResolveTables) {
+        let signatures = self
+            .spec
+            .behaviors
+            .iter()
+            .map(|b| (b.kind.clone(), b.params.len()))
+            .collect();
+        let tables = ResolveTables {
+            globals: self.globals,
+            locals: self.locals,
+            signatures,
+        };
+        (self.spec, tables)
+    }
+
     /// Resolves a top-level name.
     pub fn global(&self, name: &str) -> Option<GlobalSymbol> {
         self.globals.get(name).copied()
@@ -104,6 +122,19 @@ impl ResolvedSpec {
             Symbol::Global(GlobalSymbol::Behavior(_)) => None,
         }
     }
+}
+
+/// The symbol tables of a [`ResolvedSpec`], detached from its AST by
+/// [`ResolvedSpec::into_parts`].
+#[derive(Debug, Clone)]
+pub struct ResolveTables {
+    globals: HashMap<String, GlobalSymbol>,
+    locals: Vec<HashMap<String, LocalSymbol>>,
+    /// Kind and parameter count per behavior: all a behavior's checks
+    /// read of *other* behaviors (call arity, process/procedure/function
+    /// roles), so a behavior that keeps them cannot change another's
+    /// diagnostics.
+    signatures: Vec<(BehaviorKind, usize)>,
 }
 
 /// A resolved name: behavior-local or global.
@@ -206,67 +237,18 @@ pub fn try_resolve(spec: Spec) -> Result<ResolvedSpec, (Spec, SpecError)> {
         }
     }
 
-    // Per-behavior local tables.
-    let mut locals = Vec::with_capacity(spec.behaviors.len());
-    for b in &spec.behaviors {
-        let mut table: HashMap<String, LocalSymbol> = HashMap::new();
-        for (i, p) in b.params.iter().enumerate() {
-            if globals.contains_key(&p.name) {
-                diags.push(Diagnostic::error(
-                    p.span,
-                    codes::RESOLVE_SEMANTIC,
-                    format!("parameter `{}` shadows a top-level object", p.name),
-                ));
-            }
-            if table
-                .insert(p.name.clone(), LocalSymbol::Param(i))
-                .is_some()
-            {
-                diags.push(Diagnostic::error(
-                    p.span,
-                    codes::RESOLVE_SEMANTIC,
-                    format!("parameter `{}` is declared more than once", p.name),
-                ));
-            }
-        }
-        for (i, l) in b.locals.iter().enumerate() {
-            if globals.contains_key(&l.name) {
-                diags.push(Diagnostic::error(
-                    l.span,
-                    codes::RESOLVE_SEMANTIC,
-                    format!("local `{}` shadows a top-level object", l.name),
-                ));
-            }
-            if table
-                .insert(l.name.clone(), LocalSymbol::Local(i))
-                .is_some()
-            {
-                diags.push(Diagnostic::error(
-                    l.span,
-                    codes::RESOLVE_SEMANTIC,
-                    format!("local `{}` is declared more than once", l.name),
-                ));
-            }
-        }
-        locals.push(table);
-    }
-
+    let locals = spec
+        .behaviors
+        .iter()
+        .map(|b| local_table(b, &globals, &mut diags))
+        .collect();
     let resolved = ResolvedSpec {
         spec,
         globals,
         locals,
     };
-
-    // Check bodies.
-    for (bi, b) in resolved.spec.behaviors.iter().enumerate() {
-        let mut checker = Checker {
-            rs: &resolved,
-            behavior: bi,
-            decl: b,
-            loop_vars: Vec::new(),
-            diags: &mut diags,
-        };
-        checker.check_body(&b.body);
+    for bi in 0..resolved.spec.behaviors.len() {
+        check_behavior(&resolved, bi, &mut diags);
     }
 
     if diags.is_empty() {
@@ -275,6 +257,130 @@ pub fn try_resolve(spec: Spec) -> Result<ResolvedSpec, (Spec, SpecError)> {
         diags.sort_by_key(|d| (d.span().line, d.span().col));
         Err((resolved.spec, SpecError::batch(diags)))
     }
+}
+
+/// Re-resolves `spec` after an edit confined to the behaviors at the
+/// `dirty` indices, given the `tables` of the previous clean revision:
+/// only the dirty behaviors get fresh local tables and are re-checked.
+/// The result equals [`try_resolve`] of `spec`, provided every
+/// declaration outside `dirty` is textually unchanged (only moved), as
+/// [`region_candidates`](crate::region_candidates) guarantees.
+///
+/// A dirty behavior must keep its name, index, kind and parameter count
+/// — the parts other behaviors' checks read — and the declaration
+/// counts must match the tables. Otherwise, and whenever the dirty
+/// behaviors produce any diagnostic, this falls back to [`try_resolve`],
+/// so diagnostics are always those of a cold resolve.
+///
+/// # Errors
+///
+/// Exactly what [`try_resolve`] of `spec` returns.
+#[allow(clippy::result_large_err)]
+pub fn try_resolve_region(
+    spec: Spec,
+    tables: ResolveTables,
+    dirty: &[usize],
+) -> Result<ResolvedSpec, (Spec, SpecError)> {
+    let ResolveTables {
+        globals,
+        mut locals,
+        signatures,
+    } = tables;
+    let n = spec.behaviors.len();
+    let same_shape = locals.len() == n
+        && signatures.len() == n
+        && globals.len() == spec.ports.len() + spec.vars.len() + spec.consts.len() + n
+        && dirty.iter().all(|&i| {
+            spec.behaviors.get(i).is_some_and(|b| {
+                globals.get(&b.name) == Some(&GlobalSymbol::Behavior(i))
+                    && signatures[i].0 == b.kind
+                    && signatures[i].1 == b.params.len()
+            })
+        });
+    if !same_shape {
+        return try_resolve(spec);
+    }
+    let mut diags = Vec::new();
+    for &i in dirty {
+        locals[i] = local_table(&spec.behaviors[i], &globals, &mut diags);
+    }
+    let resolved = ResolvedSpec {
+        spec,
+        globals,
+        locals,
+    };
+    if diags.is_empty() {
+        for &i in dirty {
+            check_behavior(&resolved, i, &mut diags);
+        }
+    }
+    if diags.is_empty() {
+        Ok(resolved)
+    } else {
+        try_resolve(resolved.spec)
+    }
+}
+
+/// Builds behavior `b`'s parameter/local table, reporting duplicates and
+/// names that shadow a top-level object.
+fn local_table(
+    b: &BehaviorDecl,
+    globals: &HashMap<String, GlobalSymbol>,
+    diags: &mut Vec<Diagnostic>,
+) -> HashMap<String, LocalSymbol> {
+    let mut table: HashMap<String, LocalSymbol> = HashMap::new();
+    for (i, p) in b.params.iter().enumerate() {
+        if globals.contains_key(&p.name) {
+            diags.push(Diagnostic::error(
+                p.span,
+                codes::RESOLVE_SEMANTIC,
+                format!("parameter `{}` shadows a top-level object", p.name),
+            ));
+        }
+        if table
+            .insert(p.name.clone(), LocalSymbol::Param(i))
+            .is_some()
+        {
+            diags.push(Diagnostic::error(
+                p.span,
+                codes::RESOLVE_SEMANTIC,
+                format!("parameter `{}` is declared more than once", p.name),
+            ));
+        }
+    }
+    for (i, l) in b.locals.iter().enumerate() {
+        if globals.contains_key(&l.name) {
+            diags.push(Diagnostic::error(
+                l.span,
+                codes::RESOLVE_SEMANTIC,
+                format!("local `{}` shadows a top-level object", l.name),
+            ));
+        }
+        if table
+            .insert(l.name.clone(), LocalSymbol::Local(i))
+            .is_some()
+        {
+            diags.push(Diagnostic::error(
+                l.span,
+                codes::RESOLVE_SEMANTIC,
+                format!("local `{}` is declared more than once", l.name),
+            ));
+        }
+    }
+    table
+}
+
+/// Checks the body of behavior `bi` against the resolved tables.
+fn check_behavior(rs: &ResolvedSpec, bi: usize, diags: &mut Vec<Diagnostic>) {
+    let decl = &rs.spec.behaviors[bi];
+    let mut checker = Checker {
+        rs,
+        behavior: bi,
+        decl,
+        loop_vars: Vec::new(),
+        diags,
+    };
+    checker.check_body(&decl.body);
 }
 
 struct Checker<'a> {
@@ -748,6 +854,140 @@ mod tests {
         resolve_src(src).unwrap_err().diagnostics()[0]
             .message()
             .to_owned()
+    }
+
+    /// Region edits that change what *other* behaviors' checks read —
+    /// a callee's arity, a behavior's name, a process turned procedure,
+    /// a local shadowing a global, a call to a process — interleaved
+    /// with benign body edits, in seeded orders. After every edit the
+    /// region re-resolution (from the last clean revision's tables)
+    /// must agree with a cold resolve of the same text: the same
+    /// outcome, the same AST, and byte-identical rendered diagnostics.
+    #[test]
+    fn region_resolution_matches_cold_resolve() {
+        const BASE: &str = concat!(
+            "system Demo;\n",
+            "port in1 : in int<8>;\n",
+            "const K = 4;\n",
+            "var shared : int<8>;\n",
+            "proc Inc(a : int<8>) {\n",
+            "  shared = shared + a;\n",
+            "}\n",
+            "func Twice(v : int<8>) -> int<8> {\n",
+            "  return v * 2;\n",
+            "}\n",
+            "process Main {\n",
+            "  var t : int<8>;\n",
+            "  t = Twice(in1);\n",
+            "  call Inc(t);\n",
+            "  send Aux t;\n",
+            "  wait 5;\n",
+            "}\n",
+            "process Aux {\n",
+            "  var r : int<8>;\n",
+            "  receive r;\n",
+            "  call Inc(K);\n",
+            "  wait 9;\n",
+            "}\n",
+        );
+        // Each pair toggles: the edit applies `b -> a` when `b` occurs in
+        // the text, else `a -> b` (some `b`s extend their `a`).
+        const EDITS: &[(&str, &str)] = &[
+            ("Inc(a : int<8>)", "Inc(a : int<8>, b : int<8>)"),
+            ("Inc(a", "Bump(a"),
+            ("process Aux {\n", "proc Aux() {\n"),
+            (
+                "  var t : int<8>;\n  t =",
+                "  var t : int<8>;\n  var shared : int<8>;\n  t =",
+            ),
+            ("  send Aux t;\n", "  send Aux t;\n  call Aux();\n"),
+            ("  return v * 2;\n", "  return v * 2 + K;\n"),
+            ("  wait 9;\n", "  wait 9;\n  wait 1;\n"),
+            ("  t = Twice(in1);\n", "  t = Twice(in1, 1);\n"),
+        ];
+        let limits = crate::ParseLimits::default();
+        let (mut region_runs, mut region_errs) = (0usize, 0usize);
+        for seed in 0..16u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut source = BASE.to_owned();
+            let mut spec = parse(&source).expect("fixture parses");
+            let mut tables = Some(
+                resolve(spec.clone())
+                    .expect("fixture resolves")
+                    .into_parts()
+                    .1,
+            );
+            let mut last = EDITS[0];
+            for step in 0..30 {
+                // A broken revision is followed by undoing its edit, so
+                // the walk keeps returning to clean text.
+                let (a, b) = if tables.is_none() {
+                    last
+                } else {
+                    EDITS[(next() as usize) % EDITS.len()]
+                };
+                last = (a, b);
+                let (from, to) = if source.contains(b) { (b, a) } else { (a, b) };
+                // Toggles overlap (a renamed `Inc` hides its arity
+                // toggle), so one may have neither side present.
+                let Some(at) = source.find(from) else {
+                    continue;
+                };
+                let delta = crate::EditDelta::new(at, at + from.len(), to);
+                let got = crate::reparse_with_edit(&source, &spec, &delta, &limits)
+                    .expect("in-bounds ASCII edit");
+                assert!(got.diags.is_empty(), "every toggle parses");
+                let cold = try_resolve(parse(&got.source).expect("parses"));
+                // Region re-resolution only from a clean previous
+                // revision, as an edit session does it.
+                let dirty = crate::region_candidates(&got.spec, got.scope);
+                let warm = match (tables.take(), dirty) {
+                    (Some(t), Some(dirty)) => {
+                        region_runs += 1;
+                        try_resolve_region(got.spec.clone(), t, &dirty)
+                    }
+                    _ => try_resolve(got.spec.clone()),
+                };
+                let what = format!("seed {seed} step {step}: {from:?} -> {to:?}");
+                match (warm, cold) {
+                    (Ok(w), Ok(c)) => {
+                        assert_eq!(w.spec(), c.spec(), "{what}");
+                        for (bi, b) in c.spec().behaviors.iter().enumerate() {
+                            let params = b.params.iter().map(|p| &p.name);
+                            for name in params.chain(b.locals.iter().map(|l| &l.name)) {
+                                assert_eq!(w.lookup(bi, name), c.lookup(bi, name), "{what}");
+                            }
+                            assert_eq!(w.global(&b.name), c.global(&b.name), "{what}");
+                        }
+                        tables = Some(w.into_parts().1);
+                    }
+                    (Err((ws, we)), Err((cs, ce))) => {
+                        region_errs += 1;
+                        assert_eq!(ws, cs, "{what}");
+                        assert_eq!(we.to_string(), ce.to_string(), "{what}");
+                        assert_eq!(we.diagnostics(), ce.diagnostics(), "{what}");
+                    }
+                    (w, c) => panic!(
+                        "{what}: region resolve ok={} but cold ok={}",
+                        w.is_ok(),
+                        c.is_ok()
+                    ),
+                }
+                source = got.source;
+                spec = got.spec;
+            }
+        }
+        assert!(
+            region_runs > 100,
+            "only {region_runs} region re-resolutions"
+        );
+        assert!(region_errs > 50, "only {region_errs} broken revisions");
     }
 
     #[test]
