@@ -8,8 +8,9 @@
 //! exactly the lookups an estimate can perform. Every gap it reports is
 //! a site where estimation either fails
 //! ([`CoreError::MissingWeight`](slif_core::CoreError)) or consults the
-//! `EstimatorConfig::degraded()` defaults and records one (deduplicated)
-//! `MissingWeight` estimate warning.
+//! configured fallback weights (`EstimatorConfig::with_default_ict` /
+//! `with_default_size`) and records one (deduplicated) `MissingWeight`
+//! estimate warning.
 
 use crate::analyzer::{Ctx, Sink};
 use crate::lint::LintId;

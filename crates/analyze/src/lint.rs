@@ -33,10 +33,9 @@ pub enum LintId {
     /// (excessive transfer splitting), or the mapped bus does not exist.
     BitwidthMismatch,
     /// `A005`: a node has no `ict`/`size` weight for a component class the
-    /// allocation actually instantiates — every estimate would consult the
-    /// [`EstimatorConfig::degraded`] defaults there.
-    ///
-    /// [`EstimatorConfig::degraded`]: https://docs.rs/slif-estimate
+    /// allocation actually instantiates — every estimate there fails, or
+    /// consults the caller's explicit fallback weights
+    /// (`EstimatorConfig::with_default_ict` / `with_default_size`).
     MissingAnnotation,
     /// `A006`: flow-sensitive value-range analysis proves an assignment's
     /// (or return's) computed interval is *entirely* outside the target's

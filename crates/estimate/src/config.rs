@@ -95,19 +95,6 @@ impl EstimatorConfig {
         self.default_size = Some(size);
         self
     }
-
-    /// The degraded preset a serving layer falls back to when its circuit
-    /// breaker is open: like `self`, but every missing annotation is
-    /// substituted (ict 1, size 1) and warned about instead of failing the
-    /// job. Results are flagged approximate by their warnings; the point
-    /// is that a burst of annotation-poor inputs cannot keep the whole
-    /// service erroring.
-    #[must_use]
-    pub fn degraded(mut self) -> Self {
-        self.default_ict = Some(self.default_ict.unwrap_or(1));
-        self.default_size = Some(self.default_size.unwrap_or(1));
-        self
-    }
 }
 
 #[cfg(test)]
@@ -129,20 +116,6 @@ mod tests {
         let c = EstimatorConfig::new().with_default_ict(50).with_default_size(200);
         assert_eq!(c.default_ict, Some(50));
         assert_eq!(c.default_size, Some(200));
-    }
-
-    #[test]
-    fn degraded_fills_missing_fallbacks_only() {
-        let d = EstimatorConfig::new().degraded();
-        assert_eq!(d.default_ict, Some(1));
-        assert_eq!(d.default_size, Some(1));
-        // An explicit fallback survives degradation.
-        let d = EstimatorConfig::new().with_default_ict(50).degraded();
-        assert_eq!(d.default_ict, Some(50));
-        assert_eq!(d.default_size, Some(1));
-        // Other knobs are untouched.
-        let d = EstimatorConfig::new().with_mode(FreqMode::Max).degraded();
-        assert_eq!(d.mode, FreqMode::Max);
     }
 
     #[test]

@@ -23,19 +23,12 @@ pub enum JobOutcome {
     Completed {
         /// The result.
         output: JobOutput,
-        /// How many execution attempts were made (1 = no retries).
-        attempts: u32,
-        /// Whether the result came from the degraded estimation path
-        /// (circuit breaker open). Degraded results are approximate —
-        /// their report carries substitution warnings.
-        degraded: bool,
     },
-    /// The job failed with a typed error (after exhausting any retries).
+    /// The job failed with a typed error; a caught panic is
+    /// [`JobError::Panicked`].
     Failed {
-        /// The final error.
+        /// The error.
         error: JobError,
-        /// How many execution attempts were made.
-        attempts: u32,
     },
     /// The job's deadline expired before a worker could run it.
     TimedOut,

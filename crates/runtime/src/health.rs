@@ -3,10 +3,9 @@
 //! A [`Watchdog`](crate::JobService) thread (and any caller of
 //! [`JobService::health`](crate::JobService::health)) reads a consistent
 //! [`HealthSnapshot`] of the service: queue depth, in-flight count,
-//! terminal-state counters, breaker state, worker liveness, and a
-//! log-bucketed per-job latency histogram.
+//! terminal-state counters, worker liveness, and a log-bucketed
+//! per-job latency histogram.
 
-use crate::breaker::BreakerState;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -106,11 +105,9 @@ pub(crate) struct Metrics {
     pub completed: AtomicU64,
     pub failed: AtomicU64,
     pub shed: AtomicU64,
-    pub retried: AtomicU64,
     pub timed_out: AtomicU64,
     pub cancelled: AtomicU64,
     pub worker_panics: AtomicU64,
-    pub degraded_runs: AtomicU64,
     pub in_flight: AtomicU64,
     pub latency: Mutex<LatencyHistogram>,
 }
@@ -148,20 +145,12 @@ pub struct HealthSnapshot {
     pub failed: u64,
     /// Submissions shed at admission (queue full, too large, shutdown).
     pub shed: u64,
-    /// Retry attempts scheduled after transient failures.
-    pub retried: u64,
     /// Jobs whose deadline expired before execution.
     pub timed_out: u64,
     /// Jobs discarded by a non-draining shutdown.
     pub cancelled: u64,
     /// Worker panics caught and isolated.
     pub worker_panics: u64,
-    /// Estimation jobs served by the degraded path.
-    pub degraded_runs: u64,
-    /// Circuit breaker state at snapshot time.
-    pub breaker: BreakerState,
-    /// Times the breaker has tripped open.
-    pub breaker_trips: u64,
     /// Per-job latency distribution (terminal jobs only).
     pub latency: LatencyHistogram,
 }
@@ -171,18 +160,15 @@ impl fmt::Display for HealthSnapshot {
         write!(
             f,
             "queue {} | in-flight {} | workers {} | ok {} | failed {} | shed {} | \
-             retried {} | timed-out {} | panics {} | degraded {} | breaker {} | {}",
+             timed-out {} | panics {} | {}",
             self.queue_depth,
             self.in_flight,
             self.workers_alive,
             self.completed,
             self.failed,
             self.shed,
-            self.retried,
             self.timed_out,
             self.worker_panics,
-            self.degraded_runs,
-            self.breaker,
             self.latency,
         )
     }

@@ -8,9 +8,9 @@
 //! [`Job::InjectedPanic`] fault-injection hook.
 //!
 //! [`Job::run_inline`] executes a job on the caller's thread with no
-//! service, no retries, and no deadline. It is the reference semantics:
-//! the soak suite asserts that a clean job processed by the service
-//! yields a result identical to its inline execution.
+//! service and no deadline. It is the reference semantics: the soak
+//! suite asserts that a job processed by the service yields an outcome
+//! identical to its inline execution.
 
 use slif_analyze::{
     analyze_compiled, analyze_compiled_with_flow, AnalysisConfig, AnalysisReport,
@@ -76,8 +76,8 @@ pub enum Job {
         design: Design,
         /// The partition to estimate it under.
         partition: Partition,
-        /// The estimator configuration. A service may substitute a
-        /// degraded configuration while its circuit breaker is open.
+        /// The estimator configuration; the service runs the job with
+        /// exactly this configuration.
         config: EstimatorConfig,
     },
     /// Run a supervised exploration from a starting partition.
@@ -142,7 +142,7 @@ pub enum Job {
     },
     /// Panics on execution. The fault-injection hook for exercising the
     /// service's panic isolation: a well-behaved service converts it into
-    /// a retried-then-failed outcome, never a process abort.
+    /// one typed [`JobError::Panicked`] failure, never a process abort.
     InjectedPanic {
         /// The panic message.
         message: String,
@@ -165,10 +165,9 @@ impl Job {
         }
     }
 
-    /// Executes the job on the calling thread with no supervision: default
-    /// estimator configuration handling, an unlimited supervisor, no
-    /// retries, no deadline. This is the reference semantics the service
-    /// must reproduce for clean jobs.
+    /// Executes the job on the calling thread with no supervision: an
+    /// unlimited supervisor and no deadline. This is the reference
+    /// semantics the service must reproduce.
     ///
     /// # Errors
     ///
@@ -178,17 +177,14 @@ impl Job {
     ///
     /// Only for [`Job::InjectedPanic`], by design.
     pub fn run_inline(&self, limits: &RunLimits) -> Result<JobOutput, JobError> {
-        self.run(limits, None, Supervisor::unlimited())
+        self.run(limits, Supervisor::unlimited())
     }
 
-    /// Executes the job under explicit control: an optional estimator
-    /// configuration override (the degraded path while a breaker is open)
-    /// and a caller-built supervisor (deadline and cancellation wiring)
-    /// for exploration jobs.
+    /// Executes the job under a caller-built supervisor (deadline and
+    /// cancellation wiring) for exploration jobs.
     pub(crate) fn run(
         &self,
         limits: &RunLimits,
-        estimate_override: Option<EstimatorConfig>,
         mut supervisor: Supervisor,
     ) -> Result<JobOutput, JobError> {
         match self {
@@ -218,8 +214,7 @@ impl Job {
                 config,
             } => {
                 design.graph().check_limits(&limits.graph)?;
-                let cfg = estimate_override.unwrap_or(*config);
-                let report = DesignReport::compute_with(design, partition, cfg)?;
+                let report = DesignReport::compute_with(design, partition, *config)?;
                 Ok(JobOutput::Estimated(report))
             }
             Job::Explore {
@@ -375,9 +370,12 @@ pub enum JobError {
     /// Interchange bytes were refused: damage, a cap, or a content-key
     /// mismatch.
     Format(FormatError),
-    /// The job panicked (possibly repeatedly, through every retry).
+    /// The job panicked. Jobs are pure functions of their inputs, so the
+    /// panic is a bug report, not a transient fault: it is caught once,
+    /// never retried. The job id is on the submitter's
+    /// [`JobHandle`](crate::JobHandle) (and the wire's `x-slif-job-id`).
     Panicked {
-        /// The final panic's message.
+        /// The panic's message.
         message: String,
     },
 }

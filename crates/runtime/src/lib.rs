@@ -14,13 +14,11 @@
 //! * hostile inputs are stopped at admission (size guards) or inside the
 //!   lower layers ([`ParseLimits`](slif_speclang::ParseLimits),
 //!   [`GraphLimits`](slif_core::GraphLimits)) with typed errors,
-//! * worker panics are caught, retried with exponential backoff and
-//!   seeded jitter, and finally reported as [`JobError::Panicked`] —
-//!   never a process abort; a worker that absorbs too many panics is
-//!   quarantined and respawned by the watchdog,
-//! * estimator failure bursts trip a circuit breaker that serves
-//!   degraded (approximate, warned) estimates until a probe at full
-//!   strictness succeeds,
+//! * a worker panic is caught and reported once as
+//!   [`JobError::Panicked`] — never a process abort, never a retry (jobs
+//!   are pure functions of their inputs, so a panic would recur); a
+//!   worker that absorbs too many panics is quarantined and respawned by
+//!   the watchdog,
 //! * deadlines are armed at admission and pushed into exploration
 //!   supervisors, so overdue work stops with best-so-far results,
 //! * a full queue sheds load with [`Rejected::QueueFull`] instead of
@@ -28,9 +26,11 @@
 //! * shutdown drains gracefully ([`JobService::shutdown`]) or cancels
 //!   crisply ([`JobService::shutdown_now`]).
 //!
-//! The service adds policy, never semantics: a clean job's result is
-//! identical to running it inline with [`Job::run_inline`] — the soak
-//! suite enforces this bit-for-bit.
+//! The service adds policy, never semantics: every job — an estimate
+//! included — runs with exactly the inputs and configuration it was
+//! submitted with, so its outcome is identical to running it inline with
+//! [`Job::run_inline`] whatever other traffic the service is carrying.
+//! The soak suite enforces this bit-for-bit.
 //!
 //! # Examples
 //!
@@ -58,21 +58,16 @@
 // (promoted to an error by the verify gate's `-D warnings`).
 #![warn(clippy::expect_used)]
 
-mod breaker;
 mod handle;
 mod health;
-pub mod jitter;
 mod job;
 mod queue;
-mod retry;
 mod service;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use handle::{JobHandle, JobOutcome};
 pub use health::{HealthSnapshot, LatencyHistogram, LATENCY_BUCKETS};
 pub use job::{Job, JobError, JobOutput, RunLimits};
 pub use queue::Rejected;
-pub use retry::RetryPolicy;
 pub use service::{JobService, ServiceConfig};
 
 use std::sync::{Mutex, MutexGuard};
@@ -97,7 +92,6 @@ mod tests {
         assert_send_sync::<JobOutcome>();
         assert_send_sync::<Rejected>();
         assert_send_sync::<HealthSnapshot>();
-        assert_send_sync::<CircuitBreaker>();
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //!
 //! Backpressure is explicit: a full queue rejects new work with
 //! [`Rejected::QueueFull`] instead of blocking the submitter or growing
-//! without bound. Retried tasks re-enter past the capacity check — they
-//! were already admitted once, and shedding them would turn a transient
-//! fault into a lost job.
+//! without bound.
 //!
 //! Dequeueing is **weighted fair-share** across tenants: every pop
 //! charges the task's tenant `VTIME_SCALE / weight` virtual time, and
-//! the next pop serves the runnable task whose tenant has the least
+//! the next pop serves the queued task whose tenant has the least
 //! virtual time so far (ties go to the oldest task). A tenant that
 //! floods the queue therefore cannot starve a light tenant: the light
 //! tenant's next job jumps ahead of the flood. Untagged tasks share one
@@ -77,10 +75,6 @@ pub(crate) struct Task {
     pub id: u64,
     /// The work itself.
     pub job: Job,
-    /// Execution attempts made so far (0 before the first run).
-    pub attempts: u32,
-    /// Earliest instant a worker may run this task (retry backoff).
-    pub not_before: Option<Instant>,
     /// Absolute deadline; expired tasks resolve as timed out.
     pub deadline: Option<Instant>,
     /// The fair-share tenant this task is billed to (`None` = anonymous).
@@ -102,7 +96,6 @@ impl Task {
 struct QueueState {
     items: VecDeque<Task>,
     closed: bool,
-    discarding: bool,
     /// Per-tenant virtual service time for weighted fair-share popping.
     vtime: HashMap<u64, u64>,
     /// The system virtual clock: the vtime of the most recently served
@@ -128,7 +121,7 @@ impl QueueState {
     }
 }
 
-/// A bounded MPMC task queue with backoff-aware popping.
+/// A bounded MPMC task queue with weighted fair-share popping.
 #[derive(Debug)]
 pub(crate) struct TaskQueue {
     state: Mutex<QueueState>,
@@ -142,7 +135,6 @@ impl TaskQueue {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 closed: false,
-                discarding: false,
                 vtime: HashMap::new(),
                 global_vtime: 0,
             }),
@@ -176,76 +168,37 @@ impl TaskQueue {
         Ok(())
     }
 
-    /// Re-enqueues an already-admitted task (a retry). Bypasses the
-    /// capacity check — shedding an admitted job would lose it. A
-    /// graceful (draining) close still accepts retries so they reach a
-    /// real terminal state; a discarding close refuses them so the
-    /// caller can cancel the job instead of stranding it.
-    #[allow(clippy::result_large_err)] // ownership handed back, as in try_push
-    pub(crate) fn requeue(&self, task: Task) -> Result<(), Task> {
-        let mut st = crate::lock(&self.state);
-        if st.discarding {
-            return Err(task);
-        }
-        st.note_tenant(task.tenant_key());
-        st.items.push_back(task);
-        self.cv.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next runnable task — among tasks whose backoff
-    /// window has passed, the one whose tenant has received the least
-    /// weighted service (ties go to the oldest). Returns `None` once the
-    /// queue is closed *and* drained, which is each worker's signal to
-    /// exit.
+    /// Blocks for the next task — the one whose tenant has received the
+    /// least weighted service (ties go to the oldest). Returns `None` once
+    /// the queue is closed *and* drained, which is each worker's signal
+    /// to exit.
     pub(crate) fn pop(&self) -> Option<Task> {
         let mut st = crate::lock(&self.state);
         loop {
-            let now = Instant::now();
             let mut best: Option<(usize, u64)> = None;
             for (i, t) in st.items.iter().enumerate() {
-                if t.not_before.is_none_or(|nb| nb <= now) {
-                    let v = st.vtime.get(&t.tenant_key()).copied().unwrap_or(0);
-                    // Strictly-smaller keeps the earliest index on ties.
-                    if best.is_none_or(|(_, bv)| v < bv) {
-                        best = Some((i, v));
-                    }
+                let v = st.vtime.get(&t.tenant_key()).copied().unwrap_or(0);
+                // Strictly-smaller keeps the earliest index on ties.
+                if best.is_none_or(|(_, bv)| v < bv) {
+                    best = Some((i, v));
                 }
             }
             if let Some((i, v)) = best {
                 let task = st.items.remove(i)?;
                 let charge = VTIME_SCALE / u64::from(task.weight.max(1));
-                // The served tenant had the least vtime among runnable
+                // The served tenant had the least vtime among queued
                 // tasks, so `v` is the system virtual time "now".
                 st.global_vtime = st.global_vtime.max(v);
                 st.vtime.insert(task.tenant_key(), v.saturating_add(charge));
                 return Some(task);
             }
-            if st.closed && st.items.is_empty() {
+            if st.closed {
                 return None;
             }
-            // Everything queued is in a backoff window (or the queue is
-            // empty): sleep until the earliest window opens, or until a
-            // push/close notifies us.
-            let earliest = st
-                .items
-                .iter()
-                .filter_map(|t| t.not_before)
-                .min()
-                .map(|nb| nb.saturating_duration_since(now));
-            st = match earliest {
-                Some(wait) if !wait.is_zero() => {
-                    self.cv
-                        .wait_timeout(st, wait)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .0
-                }
-                Some(_) => continue,
-                None => self
-                    .cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            };
+            st = self
+                .cv
+                .wait(st)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 
@@ -255,7 +208,6 @@ impl TaskQueue {
     pub(crate) fn close(&self, discard: bool) -> Vec<Task> {
         let mut st = crate::lock(&self.state);
         st.closed = true;
-        st.discarding = st.discarding || discard;
         let leftovers = if discard {
             st.items.drain(..).collect()
         } else {
@@ -286,26 +238,18 @@ impl TaskQueue {
 mod tests {
     use super::*;
     use crate::handle::JobHandle;
-    use std::time::Duration;
 
-    fn task(id: u64, not_before: Option<Instant>) -> Task {
-        tenant_task(id, not_before, None, 1)
+    fn task(id: u64) -> Task {
+        tenant_task(id, None, 1)
     }
 
-    fn tenant_task(
-        id: u64,
-        not_before: Option<Instant>,
-        tenant: Option<u32>,
-        weight: u32,
-    ) -> Task {
+    fn tenant_task(id: u64, tenant: Option<u32>, weight: u32) -> Task {
         let (_, handle) = JobHandle::new(id);
         Task {
             id,
             job: Job::ParseSpec {
                 source: String::new(),
             },
-            attempts: 0,
-            not_before,
             deadline: None,
             tenant,
             weight,
@@ -314,36 +258,12 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_enforced_for_new_work_only() {
+    fn capacity_is_enforced() {
         let q = TaskQueue::new(1);
-        q.try_push(task(0, None)).unwrap();
-        let (_, why) = q.try_push(task(1, None)).unwrap_err();
+        q.try_push(task(0)).unwrap();
+        let (_, why) = q.try_push(task(1)).unwrap_err();
         assert_eq!(why, Rejected::QueueFull { capacity: 1 });
-        // A retry re-enters past the cap.
-        q.requeue(task(2, None)).unwrap();
-        assert_eq!(q.depth(), 2);
-    }
-
-    #[test]
-    fn pop_skips_backoff_windows() {
-        let q = TaskQueue::new(8);
-        let later = Instant::now() + Duration::from_secs(60);
-        q.try_push(task(0, Some(later))).unwrap();
-        q.try_push(task(1, None)).unwrap();
-        // The runnable task is picked over the older backed-off one.
-        let got = q.pop().map(|t| t.id);
-        assert_eq!(got, Some(1));
-    }
-
-    #[test]
-    fn pop_waits_out_a_short_backoff() {
-        let q = TaskQueue::new(8);
-        let soon = Instant::now() + Duration::from_millis(20);
-        q.try_push(task(0, Some(soon))).unwrap();
-        let start = Instant::now();
-        let got = q.pop().map(|t| t.id);
-        assert_eq!(got, Some(0));
-        assert!(start.elapsed() >= Duration::from_millis(10));
+        assert_eq!(q.depth(), 1);
     }
 
     #[test]
@@ -352,15 +272,15 @@ mod tests {
         q.close(false);
         assert!(q.pop().is_none());
         // New work is refused after close.
-        let (_, why) = q.try_push(task(0, None)).unwrap_err();
+        let (_, why) = q.try_push(task(0)).unwrap_err();
         assert_eq!(why, Rejected::ShuttingDown);
     }
 
     #[test]
     fn close_with_discard_returns_leftovers() {
         let q = TaskQueue::new(8);
-        q.try_push(task(0, None)).unwrap();
-        q.try_push(task(1, None)).unwrap();
+        q.try_push(task(0)).unwrap();
+        q.try_push(task(1)).unwrap();
         let leftovers = q.close(true);
         assert_eq!(leftovers.len(), 2);
         assert!(q.pop().is_none());
@@ -372,10 +292,10 @@ mod tests {
     fn pop_is_weighted_fair_share() {
         let q = TaskQueue::new(16);
         for i in 0..6 {
-            q.try_push(tenant_task(i, None, Some(0), 3)).unwrap();
+            q.try_push(tenant_task(i, Some(0), 3)).unwrap();
         }
         for i in 6..12 {
-            q.try_push(tenant_task(i, None, Some(1), 1)).unwrap();
+            q.try_push(tenant_task(i, Some(1), 1)).unwrap();
         }
         let order: Vec<u32> = (0..12)
             .map(|_| q.pop().and_then(|t| t.tenant).unwrap())
@@ -388,8 +308,8 @@ mod tests {
         assert!(order.ends_with(&[1, 1, 1, 1]), "light tenant drains last: {order:?}");
         // Within one tenant, order stays FIFO.
         let q2 = TaskQueue::new(4);
-        q2.try_push(tenant_task(0, None, Some(7), 2)).unwrap();
-        q2.try_push(tenant_task(1, None, Some(7), 2)).unwrap();
+        q2.try_push(tenant_task(0, Some(7), 2)).unwrap();
+        q2.try_push(tenant_task(1, Some(7), 2)).unwrap();
         assert_eq!(q2.pop().map(|t| t.id), Some(0));
         assert_eq!(q2.pop().map(|t| t.id), Some(1));
     }
@@ -400,7 +320,7 @@ mod tests {
     fn light_tenant_jumps_a_flood() {
         let q = TaskQueue::new(64);
         for i in 0..20 {
-            q.try_push(tenant_task(i, None, Some(9), 1)).unwrap();
+            q.try_push(tenant_task(i, Some(9), 1)).unwrap();
         }
         // Two flood pops advance tenant 9's clock...
         assert_eq!(q.pop().map(|t| t.id), Some(0));
@@ -408,7 +328,7 @@ mod tests {
         // ...so the late-arriving light tenant (seeded at the active
         // floor, which is tenant 9's advanced clock) is NOT unfairly
         // ahead, but competes evenly from here.
-        q.try_push(tenant_task(100, None, Some(5), 1)).unwrap();
+        q.try_push(tenant_task(100, Some(5), 1)).unwrap();
         let next_two: Vec<u64> = (0..2).map(|_| q.pop().map(|t| t.id).unwrap()).collect();
         assert!(
             next_two.contains(&100),
@@ -426,7 +346,7 @@ mod tests {
         let q = TaskQueue::new(16);
         // Tenant 1 works through a burst; the queue drains empty.
         for i in 0..4 {
-            q.try_push(tenant_task(i, None, Some(1), 1)).unwrap();
+            q.try_push(tenant_task(i, Some(1), 1)).unwrap();
         }
         for _ in 0..4 {
             assert!(q.pop().is_some());
@@ -434,10 +354,10 @@ mod tests {
         assert_eq!(q.depth(), 0);
         // Tenant 2 joins at the quiet moment, then tenant 1 returns.
         for i in 0..4 {
-            q.try_push(tenant_task(10 + i, None, Some(2), 1)).unwrap();
+            q.try_push(tenant_task(10 + i, Some(2), 1)).unwrap();
         }
         for i in 0..4 {
-            q.try_push(tenant_task(20 + i, None, Some(1), 1)).unwrap();
+            q.try_push(tenant_task(20 + i, Some(1), 1)).unwrap();
         }
         let first_four: Vec<u32> = (0..4)
             .map(|_| q.pop().and_then(|t| t.tenant).unwrap())
@@ -451,8 +371,8 @@ mod tests {
     #[test]
     fn drain_remaining_empties_the_queue() {
         let q = TaskQueue::new(8);
-        q.try_push(task(0, None)).unwrap();
-        q.try_push(task(1, None)).unwrap();
+        q.try_push(task(0)).unwrap();
+        q.try_push(task(1)).unwrap();
         q.close(false); // graceful: items stay queued for workers
         let stranded = q.drain_remaining();
         assert_eq!(stranded.len(), 2);

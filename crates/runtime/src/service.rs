@@ -8,37 +8,32 @@
 //!   queue are shed synchronously with a typed [`Rejected`]; nothing
 //!   unbounded ever enters the system.
 //! * **Panic isolation** — each job runs under `catch_unwind`; a panic
-//!   is converted into a retry (with exponential backoff and seeded
-//!   jitter) and, once the attempt budget is spent, a typed
-//!   [`JobError::Panicked`] outcome. A worker that has caught too many
-//!   panics is quarantined (retired), and the watchdog respawns a fresh
-//!   thread in its place — panics never abort the process and poisoned
-//!   worker state never serves another job.
+//!   resolves the job at once as one typed [`JobError::Panicked`]
+//!   failure. It is not retried: jobs are pure functions of their
+//!   inputs, so the same panic would recur. A worker that has caught too
+//!   many panics is quarantined (retired), and the watchdog respawns a
+//!   fresh thread in its place — panics never abort the process and
+//!   poisoned worker state never serves another job.
 //! * **Deadlines** — a job's deadline is armed at admission. Expired
 //!   before a worker picks it up: resolved [`JobOutcome::TimedOut`]
 //!   without running. Running exploration jobs get the deadline pushed
 //!   into their [`Supervisor`] (and a [`CancelToken`] the watchdog
 //!   cancels if they overstay), so they stop early with best-so-far
 //!   results rather than being killed.
-//! * **Circuit breaker** — consecutive estimator failures trip the
-//!   breaker; while open, estimation jobs run with
-//!   [`EstimatorConfig::degraded`](slif_estimate::EstimatorConfig::degraded)
-//!   (approximate, flagged results) until a cooled-down probe at full
-//!   strictness succeeds.
+//! * **No ambient state** — a job runs with exactly the inputs and
+//!   configuration it was submitted with. An estimate that fails at full
+//!   strictness fails the same way however many others failed before
+//!   it; callers that want fallbacks ask for them explicitly
+//!   ([`EstimatorConfig::with_default_ict`](slif_estimate::EstimatorConfig::with_default_ict)).
 //! * **Graceful drain** — [`JobService::shutdown`] stops admissions and
 //!   lets workers drain the queue; [`JobService::shutdown_now`] discards
 //!   queued jobs (resolving them [`JobOutcome::Cancelled`]) and cancels
 //!   in-flight explorations.
 
-use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::handle::{JobHandle, JobOutcome, TerminalHook};
 use crate::health::{HealthSnapshot, Metrics};
 use crate::job::{Job, JobError, RunLimits};
 use crate::queue::{Rejected, Task, TaskQueue};
-use crate::retry::RetryPolicy;
-use crate::BreakerConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use slif_explore::{CancelToken, Supervisor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -57,10 +52,6 @@ pub struct ServiceConfig {
     /// Deadline applied by [`JobService::submit`] when the caller does
     /// not pass one (default none).
     pub default_deadline: Option<Duration>,
-    /// Retry policy for transient (panic) failures.
-    pub retry: RetryPolicy,
-    /// Circuit-breaker tuning for the estimation path.
-    pub breaker: BreakerConfig,
     /// Resource caps under which every job runs.
     pub limits: RunLimits,
     /// Caught panics after which a worker is quarantined and replaced
@@ -68,9 +59,6 @@ pub struct ServiceConfig {
     pub max_worker_panics: u32,
     /// Watchdog wake-up cadence (default 20 ms).
     pub watchdog_interval: Duration,
-    /// Seed for retry jitter; equal seeds give reproducible backoff
-    /// schedules (default 0).
-    pub seed: u64,
 }
 
 impl Default for ServiceConfig {
@@ -79,12 +67,9 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 64,
             default_deadline: None,
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
             limits: RunLimits::default(),
             max_worker_panics: 3,
             watchdog_interval: Duration::from_millis(20),
-            seed: 0,
         }
     }
 }
@@ -116,20 +101,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the circuit-breaker tuning.
-    #[must_use]
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
     /// Sets the resource caps.
     #[must_use]
     pub fn with_limits(mut self, limits: RunLimits) -> Self {
@@ -148,13 +119,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_watchdog_interval(mut self, interval: Duration) -> Self {
         self.watchdog_interval = interval.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Sets the jitter seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -180,17 +144,15 @@ struct Shared {
     config: ServiceConfig,
     queue: TaskQueue,
     metrics: Metrics,
-    breaker: CircuitBreaker,
     shutting_down: AtomicBool,
     watchdog_stop: AtomicBool,
     workers_alive: AtomicUsize,
-    worker_seq: AtomicU64,
     worker_handles: Mutex<Vec<JoinHandle<()>>>,
     inflight: Mutex<Vec<InflightJob>>,
 }
 
-/// A multi-worker job service with backpressure, retries, a circuit
-/// breaker, resource guards, and panic isolation.
+/// A multi-worker job service with backpressure, resource guards,
+/// deadlines, and panic isolation.
 ///
 /// # Examples
 ///
@@ -221,11 +183,9 @@ impl JobService {
         let shared = Arc::new(Shared {
             queue: TaskQueue::new(config.queue_capacity),
             metrics: Metrics::default(),
-            breaker: CircuitBreaker::new(config.breaker),
             shutting_down: AtomicBool::new(false),
             watchdog_stop: AtomicBool::new(false),
             workers_alive: AtomicUsize::new(0),
-            worker_seq: AtomicU64::new(0),
             worker_handles: Mutex::new(Vec::new()),
             inflight: Mutex::new(Vec::new()),
             config,
@@ -342,8 +302,6 @@ impl JobService {
         let task = Task {
             id,
             job,
-            attempts: 0,
-            not_before: None,
             deadline: deadline.map(|d| Instant::now() + d),
             tenant: tenant.map(|(t, _)| t),
             weight: tenant.map_or(1, |(_, w)| w.max(1)),
@@ -372,13 +330,9 @@ impl JobService {
             completed: Metrics::read(&m.completed),
             failed: Metrics::read(&m.failed),
             shed: Metrics::read(&m.shed),
-            retried: Metrics::read(&m.retried),
             timed_out: Metrics::read(&m.timed_out),
             cancelled: Metrics::read(&m.cancelled),
             worker_panics: Metrics::read(&m.worker_panics),
-            degraded_runs: Metrics::read(&m.degraded_runs),
-            breaker: self.shared.breaker.state(),
-            breaker_trips: self.shared.breaker.trips(),
             latency: crate::lock(&m.latency).clone(),
         }
     }
@@ -523,15 +477,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    let seq = shared.worker_seq.fetch_add(1, Ordering::Relaxed);
-    let mut rng = StdRng::seed_from_u64(
-        shared
-            .config
-            .seed
-            .wrapping_add(seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    );
     let mut panics_here = 0u32;
-    while let Some(mut task) = shared.queue.pop() {
+    while let Some(task) = shared.queue.pop() {
         if let Some(deadline) = task.deadline {
             if Instant::now() >= deadline {
                 Metrics::bump(&shared.metrics.timed_out);
@@ -539,8 +486,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                 continue;
             }
         }
-        task.attempts += 1;
-        let is_estimate = matches!(task.job, Job::Estimate { .. });
         let is_explore = matches!(task.job, Job::Explore { .. });
         let cancel = CancelToken::new();
         if is_explore {
@@ -550,11 +495,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                 cancel: cancel.clone(),
             });
         }
-        let degraded = is_estimate && shared.breaker.state() == BreakerState::Open;
-        let estimate_override = match (&task.job, degraded) {
-            (Job::Estimate { config, .. }, true) => Some(config.degraded()),
-            _ => None,
-        };
         Metrics::bump(&shared.metrics.in_flight);
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -562,70 +502,35 @@ fn worker_loop(shared: &Arc<Shared>) {
             if let Some(deadline) = task.deadline {
                 supervisor = supervisor.with_deadline_at(deadline);
             }
-            task.job
-                .run(&shared.config.limits, estimate_override, supervisor)
+            task.job.run(&shared.config.limits, supervisor)
         }));
         shared.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
         if is_explore {
             crate::lock(&shared.inflight).retain(|e| e.id != task.id);
         }
         shared.metrics.record_latency(started.elapsed());
-        match outcome {
-            Ok(Ok(output)) => {
-                if is_estimate && !degraded {
-                    shared.breaker.on_success();
-                }
-                if degraded {
-                    Metrics::bump(&shared.metrics.degraded_runs);
-                }
+        let result = outcome.unwrap_or_else(|payload| {
+            panics_here += 1;
+            Metrics::bump(&shared.metrics.worker_panics);
+            Err(JobError::Panicked {
+                message: panic_message(payload.as_ref()),
+            })
+        });
+        match result {
+            Ok(output) => {
                 Metrics::bump(&shared.metrics.completed);
-                task.handle.resolve(JobOutcome::Completed {
-                    output,
-                    attempts: task.attempts,
-                    degraded,
-                });
+                task.handle.resolve(JobOutcome::Completed { output });
             }
-            Ok(Err(error)) => {
-                if is_estimate && !degraded {
-                    shared.breaker.on_failure();
-                }
+            Err(error) => {
                 Metrics::bump(&shared.metrics.failed);
-                task.handle.resolve(JobOutcome::Failed {
-                    error,
-                    attempts: task.attempts,
-                });
+                task.handle.resolve(JobOutcome::Failed { error });
             }
-            Err(payload) => {
-                panics_here += 1;
-                Metrics::bump(&shared.metrics.worker_panics);
-                let message = panic_message(payload.as_ref());
-                if shared.config.retry.should_retry(task.attempts) {
-                    let delay = shared.config.retry.backoff(task.attempts, &mut rng);
-                    task.not_before = Some(Instant::now() + delay);
-                    let handle = Arc::clone(&task.handle);
-                    match shared.queue.requeue(task) {
-                        Ok(()) => Metrics::bump(&shared.metrics.retried),
-                        Err(_stranded) => {
-                            // Discarding shutdown raced the retry: the
-                            // job still gets a terminal state.
-                            Metrics::bump(&shared.metrics.cancelled);
-                            handle.resolve(JobOutcome::Cancelled);
-                        }
-                    }
-                } else {
-                    Metrics::bump(&shared.metrics.failed);
-                    task.handle.resolve(JobOutcome::Failed {
-                        error: JobError::Panicked { message },
-                        attempts: task.attempts,
-                    });
-                }
-                if panics_here >= shared.config.max_worker_panics {
-                    // Quarantine: this thread has absorbed too many
-                    // panics to trust its scratch state. Retire it; the
-                    // watchdog spawns a clean replacement.
-                    break;
-                }
-            }
+        }
+        if panics_here >= shared.config.max_worker_panics {
+            // Quarantine: this thread has absorbed too many panics to
+            // trust its scratch state. Retire it; the watchdog spawns a
+            // clean replacement.
+            break;
         }
     }
     shared.workers_alive.fetch_sub(1, Ordering::Relaxed);
@@ -669,14 +574,16 @@ mod tests {
 
     const GOOD_SPEC: &str = "system T;\nvar x : int<8>;\nprocess Main { x = x + 1; }\n";
 
-    fn fast_retry() -> RetryPolicy {
-        RetryPolicy::new()
-            .with_base_delay(Duration::from_millis(1))
-            .with_max_delay(Duration::from_millis(2))
+    /// Waits for a job that must have run, as the inline result type.
+    fn settled(handle: &JobHandle) -> Result<JobOutput, JobError> {
+        match handle.wait() {
+            JobOutcome::Completed { output } => Ok(output),
+            JobOutcome::Failed { error } => Err(error),
+            other => panic!("job {}: unexpected outcome {other:?}", handle.id()),
+        }
     }
 
-    /// A design whose estimation fails at full strictness (no weights)
-    /// but succeeds degraded (weights substituted).
+    /// A design whose estimation fails at full strictness (no weights).
     fn weightless_design() -> (Design, Partition) {
         let mut d = Design::new("weightless");
         let class = d.add_class("proc", ClassKind::StdProcessor);
@@ -733,17 +640,8 @@ mod tests {
             let inline = job.run_inline(&RunLimits::default());
             let handle = svc.submit(job.clone()).unwrap();
             match (handle.wait(), inline) {
-                (
-                    JobOutcome::Completed {
-                        output,
-                        attempts,
-                        degraded,
-                    },
-                    Ok(expected),
-                ) => {
+                (JobOutcome::Completed { output }, Ok(expected)) => {
                     assert_eq!(output, expected, "{} diverged from inline", job.kind());
-                    assert_eq!(attempts, 1);
-                    assert!(!degraded);
                 }
                 (outcome, inline) => {
                     panic!("{}: outcome {outcome:?} vs inline {inline:?}", job.kind())
@@ -790,25 +688,18 @@ mod tests {
     }
 
     #[test]
-    fn panics_are_isolated_retried_and_reported() {
-        let svc = JobService::start(
-            ServiceConfig::new()
-                .with_workers(1)
-                .with_retry(fast_retry().with_max_attempts(3)),
-        );
+    fn a_panic_is_isolated_and_reported_once() {
+        let svc = JobService::start(ServiceConfig::new().with_workers(1));
         let handle = svc
             .submit(Job::InjectedPanic {
                 message: "seeded fault".to_owned(),
             })
             .unwrap();
-        match handle.wait() {
-            JobOutcome::Failed { error, attempts } => {
-                assert_eq!(attempts, 3, "all attempts spent");
-                assert!(matches!(error, JobError::Panicked { ref message } if message == "seeded fault"));
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        // The service still works after absorbing the panics.
+        let planted = JobError::Panicked {
+            message: "seeded fault".to_owned(),
+        };
+        assert_eq!(settled(&handle), Err(planted));
+        // The service still works after absorbing the panic.
         let ok = svc
             .submit(Job::ParseSpec {
                 source: GOOD_SPEC.to_owned(),
@@ -816,8 +707,8 @@ mod tests {
             .unwrap();
         assert!(ok.wait().is_completed());
         let health = svc.health();
-        assert_eq!(health.worker_panics, 3);
-        assert_eq!(health.retried, 2);
+        assert_eq!(health.worker_panics, 1, "the job ran exactly once");
+        assert_eq!(health.failed, 1);
         svc.shutdown();
     }
 
@@ -827,7 +718,6 @@ mod tests {
             ServiceConfig::new()
                 .with_workers(1)
                 .with_max_worker_panics(1)
-                .with_retry(fast_retry().with_max_attempts(1))
                 .with_watchdog_interval(Duration::from_millis(5)),
         );
         let handle = svc
@@ -860,9 +750,7 @@ mod tests {
                 ServiceConfig::new()
                     .with_workers(1)
                     .with_max_worker_panics(1)
-                    .with_retry(fast_retry().with_max_attempts(1))
-                    .with_watchdog_interval(Duration::from_millis(1))
-                    .with_seed(round),
+                    .with_watchdog_interval(Duration::from_millis(1)),
             ));
             // Quarantine the only worker so respawning is in play.
             let boom = svc
@@ -939,66 +827,63 @@ mod tests {
         svc.shutdown();
     }
 
+    /// Identical requests get identical answers whatever other traffic
+    /// the service carries: a burst of estimates that fail at full
+    /// strictness, mixed with healthy estimates, clean parses and
+    /// injected panics on two workers, never changes how any estimate is
+    /// run. Each outcome equals the inline run of the same job, and each
+    /// panic job runs — and fails — exactly once.
     #[test]
-    fn breaker_degrades_estimation_then_recovers() {
-        let svc = JobService::start(
-            ServiceConfig::new().with_workers(1).with_breaker(
-                BreakerConfig::new()
-                    .with_failure_threshold(2)
-                    .with_cooldown(Duration::from_millis(10)),
-            ),
-        );
+    fn identical_estimates_get_identical_outcomes_under_mixed_traffic() {
+        let svc = JobService::start(ServiceConfig::new().with_workers(2));
         let (bad, bad_p) = weightless_design();
-        // Two strict failures trip the breaker...
-        for _ in 0..2 {
-            let h = svc
-                .submit(Job::Estimate {
-                    design: bad.clone(),
-                    partition: bad_p.clone(),
-                    config: EstimatorConfig::default(),
-                })
-                .unwrap();
-            assert!(matches!(h.wait(), JobOutcome::Failed { .. }));
-        }
-        assert_eq!(svc.health().breaker, BreakerState::Open);
-        // ...after which the same job is served degraded, with warnings.
-        let h = svc
-            .submit(Job::Estimate {
-                design: bad.clone(),
-                partition: bad_p.clone(),
-                config: EstimatorConfig::default(),
-            })
-            .unwrap();
-        match h.wait() {
-            JobOutcome::Completed {
-                output, degraded, ..
-            } => {
-                assert!(degraded);
-                match output {
-                    JobOutput::Estimated(report) => {
-                        assert!(!report.warnings.is_empty(), "degraded runs warn")
-                    }
-                    other => panic!("unexpected output {other:?}"),
+        let (good, good_p) = healthy_design();
+        let strict_failing = Job::Estimate {
+            design: bad,
+            partition: bad_p,
+            config: EstimatorConfig::default(),
+        };
+        let healthy = Job::Estimate {
+            design: good,
+            partition: good_p,
+            config: EstimatorConfig::default(),
+        };
+        let strict_inline = strict_failing.run_inline(&RunLimits::default());
+        assert!(strict_inline.is_err(), "the weightless design must fail strict");
+        let healthy_inline = healthy.run_inline(&RunLimits::default());
+        assert!(healthy_inline.is_ok());
+
+        let mut estimates = Vec::new();
+        let mut panics = Vec::new();
+        for round in 0..3 {
+            estimates.push((svc.submit(healthy.clone()).unwrap(), &healthy_inline));
+            for i in 0..10 {
+                estimates.push((svc.submit(strict_failing.clone()).unwrap(), &strict_inline));
+                let message = format!("planted panic {round}.{i}");
+                if i % 3 == 0 {
+                    let job = Job::InjectedPanic {
+                        message: message.clone(),
+                    };
+                    panics.push((svc.submit(job).unwrap(), message));
+                } else {
+                    let parse = Job::ParseSpec {
+                        source: GOOD_SPEC.to_owned(),
+                    };
+                    assert!(svc.submit(parse).unwrap().wait().is_completed());
                 }
             }
-            other => panic!("unexpected outcome {other:?}"),
         }
-        assert!(svc.health().degraded_runs >= 1);
-        // After the cooldown a healthy probe closes the breaker again.
-        std::thread::sleep(Duration::from_millis(15));
-        let (good, good_p) = healthy_design();
-        let h = svc
-            .submit(Job::Estimate {
-                design: good,
-                partition: good_p,
-                config: EstimatorConfig::default(),
-            })
-            .unwrap();
-        match h.wait() {
-            JobOutcome::Completed { degraded, .. } => assert!(!degraded, "probe is strict"),
-            other => panic!("unexpected outcome {other:?}"),
+        estimates.push((svc.submit(healthy.clone()).unwrap(), &healthy_inline));
+
+        for (handle, inline) in estimates {
+            let got = settled(&handle);
+            assert_eq!(&got, inline, "job {} diverged from inline", handle.id());
         }
-        assert_eq!(svc.health().breaker, BreakerState::Closed);
+        let planted = panics.len() as u64;
+        for (handle, message) in panics {
+            assert_eq!(settled(&handle), Err(JobError::Panicked { message }));
+        }
+        assert_eq!(svc.health().worker_panics, planted, "each panic job ran once");
         svc.shutdown();
     }
 

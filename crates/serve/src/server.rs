@@ -1043,11 +1043,9 @@ fn render_metrics(inner: &Inner) -> String {
     w("jobs_completed_total", h.completed);
     w("jobs_failed_total", h.failed);
     w("jobs_shed_total", h.shed);
-    w("jobs_retried_total", h.retried);
     w("jobs_timed_out_total", h.timed_out);
     w("jobs_cancelled_total", h.cancelled);
     w("worker_panics_total", h.worker_panics);
-    w("degraded_runs_total", h.degraded_runs);
     let s = inner.sessions.stats();
     w("session_created_total", s.created);
     w("session_edits_total", s.edits);

@@ -31,7 +31,7 @@ use slif_explore::{
     cluster_partition, greedy_improve, group_migration, inline_procedure, merge_processes,
     pareto_sweep, random_search, simulated_annealing, AnnealingConfig, Objectives,
 };
-use slif_formats::FormatComparison;
+use slif_formats::{read_bytes, write_bytes, Encoding, FormatComparison, FormatLimits, Strictness};
 use slif_frontend::{
     all_software_partition, allocate_proc_asic, build_design, build_design_at, Granularity, Profile,
 };
@@ -102,14 +102,18 @@ commands:\n\
   report                       regenerate the paper's Figure 4 table\n\
 <spec> is a corpus name (ans, ether, fuzzy, vol) or a .sl file path";
 
-/// Loads a previously saved `.slif` design file.
+/// Loads a previously saved `.slif` design file: an interchange file in
+/// either encoding, read strictly (accepted implies its content key
+/// verified).
 ///
 /// # Errors
 ///
 /// I/O errors for unreadable paths; usage errors for malformed files.
 pub fn load_slif(path: &str) -> Result<Design, CliError> {
-    let text = std::fs::read_to_string(path)?;
-    slif_core::text::parse_design(&text).map_err(|e| CliError::Usage(e.to_string()))
+    let bytes = std::fs::read(path)?;
+    read_bytes(&bytes, Strictness::Strict, &FormatLimits::default())
+        .map(|read| read.design)
+        .map_err(|e| CliError::Usage(e.to_string()))
 }
 
 /// Loads a spec by corpus name or file path.
@@ -204,7 +208,9 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         return Ok(design_to_dot(&design, style));
     }
     if let Some(path) = out_path {
-        std::fs::write(path, slif_core::text::write_design(&design))?;
+        let bytes = write_bytes(&design, None, Encoding::Text)
+            .map_err(|e| CliError::Usage(e.to_string()))?;
+        std::fs::write(path, bytes)?;
     }
     let mut out = String::new();
     let _ = writeln!(out, "built SLIF for `{}`:", design.name());
@@ -706,6 +712,12 @@ mod tests {
         let path = dir.join("fuzzy.slif");
         let path_str = path.to_str().unwrap().to_owned();
         run_args(&["build", "fuzzy", "--out", &path_str]).unwrap();
+        // The saved file is a `.slif` interchange file that reads back
+        // strict and verified, so every interchange tool accepts it.
+        let bytes = std::fs::read(&path).unwrap();
+        let read = read_bytes(&bytes, Strictness::Strict, &FormatLimits::default()).unwrap();
+        assert!(read.verified);
+        assert_eq!(read.design.graph().node_count(), 35);
         let loaded = load_slif(&path_str).unwrap();
         assert_eq!(loaded.graph().node_count(), 35);
         // Estimating straight from the saved design works.

@@ -3,9 +3,9 @@
 //! The content-addressed cache needs one byte string per design: equal
 //! designs must encode to equal bytes (so they hash to equal keys), and
 //! decoding must reproduce the design *exactly* —
-//! `decode_design(&encode_design(d)) == d`. The textual format
-//! ([`slif_core::text`]) already round-trips exactly but renders floats
-//! through decimal; this encoding is fully bit-level:
+//! `decode_design(&encode_design(d)) == d`. Unlike a textual format,
+//! which renders floats through decimal, this encoding is fully
+//! bit-level:
 //!
 //! * an interned-name table up front (every object name appears once, in
 //!   first-use order), then ordinal references everywhere else;
@@ -441,7 +441,7 @@ pub fn decode_design(bytes: &[u8]) -> Result<Design, StoreError> {
 mod tests {
     use super::*;
     use slif_core::gen::DesignGenerator;
-    use slif_core::text;
+    use slif_formats::{read_bytes, write_bytes, Encoding, FormatLimits, Strictness};
 
     fn corpus() -> Vec<Design> {
         let mut designs = Vec::new();
@@ -474,13 +474,14 @@ mod tests {
     fn encoding_is_deterministic() {
         for d in corpus() {
             assert_eq!(encode_design(&d), encode_design(&d));
-            // A fresh structural copy via the text round trip encodes to
-            // the same bytes: content addressing keys on value, not on
-            // construction history.
-            let copy = text::parse_design(&text::write_design(&d));
-            if let Ok(copy) = copy {
-                assert_eq!(encode_design(&d), encode_design(&copy));
-            }
+            // A fresh structural copy via the `.slif` text round trip
+            // encodes to the same bytes: content addressing keys on
+            // value, not on construction history.
+            let text = write_bytes(&d, None, Encoding::Text).unwrap();
+            let copy = read_bytes(&text, Strictness::Strict, &FormatLimits::default())
+                .unwrap()
+                .design;
+            assert_eq!(encode_design(&d), encode_design(&copy));
         }
     }
 

@@ -102,23 +102,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for (label, handle) in handles {
         match handle.wait() {
-            JobOutcome::Completed {
-                output,
-                attempts,
-                degraded,
-            } => println!(
-                "{label:32} completed (attempt {attempts}, degraded={degraded}): {}",
-                summarize(&output)
-            ),
-            JobOutcome::Failed { error, attempts } => {
-                println!("{label:32} failed after {attempts} attempt(s): {error}");
+            JobOutcome::Completed { output } => {
+                println!("{label:32} completed: {}", summarize(&output));
             }
+            JobOutcome::Failed { error } => println!("{label:32} failed: {error}"),
             other => println!("{label:32} ended: {other:?}"),
         }
     }
 
-    // The service absorbed the panic (caught, retried, reported) and the
-    // health snapshot shows the whole story.
+    // The service absorbed the panic (caught once, reported, never
+    // retried) and the health snapshot shows the whole story.
     println!("\n{}", svc.health());
     svc.shutdown();
     Ok(())

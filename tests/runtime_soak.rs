@@ -13,6 +13,11 @@
 //! * return results for clean jobs that are **bit-identical** to running
 //!   the same job inline with [`Job::run_inline`] (the service adds
 //!   policy, never semantics),
+//! * give identical requests identical answers whatever else is in
+//!   flight: runs of estimates that fail at full strictness each fail
+//!   with exactly the inline error — a burst of failures never changes
+//!   how the next estimate is run,
+//! * run each panicking job exactly once and report its planted message,
 //! * keep its books: terminal-state counters must sum to the admitted
 //!   job count, and the health snapshot must reflect the carnage.
 
@@ -22,9 +27,7 @@ use slif::core::gen::DesignGenerator;
 use slif::core::{ClassKind, Design, NodeKind, Partition};
 use slif::estimate::EstimatorConfig;
 use slif::explore::{Algorithm, Objectives};
-use slif::runtime::{
-    Job, JobError, JobOutcome, JobService, Rejected, RetryPolicy, RunLimits, ServiceConfig,
-};
+use slif::runtime::{Job, JobError, JobOutcome, JobService, Rejected, RunLimits, ServiceConfig};
 use slif::speclang::ParseLimits;
 use std::time::Duration;
 
@@ -32,11 +35,15 @@ const GOOD_SPEC: &str = "system T;\nvar x : int<8>;\nprocess Main { x = x + 1; }
 const MALFORMED_SPEC: &str = "system ;\nprocess { x = ; }\nif not\n";
 const JOBS: usize = 500;
 const WORKERS: usize = 4;
-const MAX_ATTEMPTS: u32 = 3;
+/// Each stream slot whose index mod 100 falls here carries the same
+/// strict-failing estimate: five runs of ten in a row.
+const STRICT_FAILING_RUN: std::ops::Range<usize> = 40..50;
 
 /// A small design with complete annotations, so estimation and
-/// exploration succeed deterministically.
-fn healthy_design() -> (Design, Partition) {
+/// exploration succeed deterministically. With `annotated` false, node A
+/// carries no weights, so estimation at full strictness fails with a
+/// typed missing-weight error — every time.
+fn soak_design(annotated: bool) -> (Design, Partition) {
     let mut d = Design::new("soak");
     let class = d.add_class("proc", ClassKind::StdProcessor);
     let asic = d.add_class("asic", ClassKind::CustomHw);
@@ -46,7 +53,12 @@ fn healthy_design() -> (Design, Partition) {
         .graph_mut()
         .add_channel(a, b.into(), slif::core::AccessKind::Call)
         .expect("valid channel");
-    for (node, ict, size) in [(a, 40u64, 200u64), (b, 10, 80)] {
+    let weighted: &[_] = if annotated {
+        &[(a, 40u64, 200u64), (b, 10, 80)]
+    } else {
+        &[(b, 10, 80)]
+    };
+    for &(node, ict, size) in weighted {
         for cls in [class, asic] {
             d.graph_mut().node_mut(node).ict_mut().set(cls, ict);
             d.graph_mut().node_mut(node).size_mut().set(cls, size);
@@ -71,12 +83,24 @@ enum Expectation {
     Malformed,
     /// Over-limit input: must be shed at admission with `TooLarge`.
     OverLimit,
-    /// Seeded panic: must exhaust retries and fail `Panicked`.
+    /// Seeded panic: must run once and fail `Panicked` with its message.
     Panic,
+    /// Estimate without fallbacks on a weightless design: must fail with
+    /// exactly the inline error, however many failed before it.
+    StrictFailing,
 }
 
 fn job_stream(limits: &RunLimits) -> Vec<(Job, Expectation)> {
-    let (design, partition) = healthy_design();
+    let (design, partition) = soak_design(true);
+    let strict_failing = {
+        let (design, partition) = soak_design(false);
+        Job::Estimate {
+            design,
+            partition,
+            config: EstimatorConfig::default(),
+        }
+    };
+    assert!(strict_failing.run_inline(limits).is_err());
     // Seeded fault plan: ~30% of slots carry a runtime fault (half of
     // them worker panics). `QueueFull` slots submit real work — queue
     // saturation is provoked by the submission burst itself and absorbed
@@ -87,6 +111,9 @@ fn job_stream(limits: &RunLimits) -> Vec<(Job, Expectation)> {
     let oversized = "-- padding\n".repeat(limits.parse.max_bytes / 8);
     (0..JOBS)
         .map(|i| {
+            if STRICT_FAILING_RUN.contains(&(i % 100)) {
+                return (strict_failing.clone(), Expectation::StrictFailing);
+            }
             if plan[i] == Some(RuntimeFaultKind::WorkerPanic) {
                 return (
                     Job::InjectedPanic {
@@ -197,14 +224,7 @@ fn soak_500_mixed_jobs_with_faults() {
             .with_workers(WORKERS)
             .with_queue_capacity(32)
             .with_limits(limits)
-            .with_retry(
-                RetryPolicy::new()
-                    .with_max_attempts(MAX_ATTEMPTS)
-                    .with_base_delay(Duration::from_micros(200))
-                    .with_max_delay(Duration::from_millis(2)),
-            )
-            .with_watchdog_interval(Duration::from_millis(5))
-            .with_seed(42),
+            .with_watchdog_interval(Duration::from_millis(5)),
     );
 
     let stream = job_stream(&limits);
@@ -221,6 +241,12 @@ fn soak_500_mixed_jobs_with_faults() {
         .filter(|(_, e)| *e == Expectation::OverLimit)
         .count();
     assert!(expected_over_limit > 0, "stream carries over-limit jobs");
+    assert!(
+        stream
+            .windows(6)
+            .any(|w| w.iter().all(|(_, e)| *e == Expectation::StrictFailing)),
+        "stream carries at least six strict-failing estimates in a row"
+    );
 
     // Submit everything, with bounded patience for backpressure: a
     // QueueFull rejection is retried briefly; if the queue never opens
@@ -268,6 +294,7 @@ fn soak_500_mixed_jobs_with_faults() {
     // Every admitted job reaches exactly one terminal state.
     let mut completed = 0usize;
     let mut failed = 0usize;
+    let mut panic_jobs = 0u64;
     for (handle, job, expectation) in &handles {
         let outcome = handle.wait();
         assert_eq!(
@@ -277,46 +304,40 @@ fn soak_500_mixed_jobs_with_faults() {
             handle.id()
         );
         match outcome {
-            JobOutcome::Completed {
-                output,
-                attempts,
-                degraded,
-            } => {
+            JobOutcome::Completed { output } => {
                 completed += 1;
-                assert_ne!(
-                    *expectation,
-                    Expectation::Panic,
-                    "a panic job cannot complete"
+                assert!(
+                    matches!(expectation, Expectation::Clean | Expectation::Malformed),
+                    "a {expectation:?} job cannot complete"
                 );
-                assert!(!degraded, "all estimate inputs are healthy");
-                assert_eq!(attempts, 1, "clean jobs succeed first try");
                 // Clean jobs are bit-identical to inline execution.
                 let inline = job
                     .run_inline(&limits)
                     .unwrap_or_else(|e| panic!("{} diverged from inline: {e}", job.kind()));
                 assert_eq!(output, inline, "{} diverged from inline", job.kind());
             }
-            JobOutcome::Failed { error, attempts } => {
+            JobOutcome::Failed { error } => {
                 failed += 1;
-                match expectation {
-                    Expectation::Panic => {
-                        assert_eq!(attempts, MAX_ATTEMPTS, "panic jobs exhaust all attempts");
-                        assert!(
-                            matches!(error, JobError::Panicked { .. }),
-                            "panic job failed with {error}"
-                        );
+                match (expectation, job) {
+                    (Expectation::Panic, Job::InjectedPanic { message }) => {
+                        panic_jobs += 1;
+                        let planted = JobError::Panicked {
+                            message: message.clone(),
+                        };
+                        assert_eq!(error, planted, "job {}", handle.id());
                     }
-                    Expectation::Malformed => {
-                        assert_eq!(attempts, 1, "typed errors are not retried");
+                    (Expectation::StrictFailing, _) => {
+                        let inline = job.run_inline(&limits);
+                        assert_eq!(Err(error), inline, "job {} diverged from inline", handle.id());
+                    }
+                    (Expectation::Malformed, _) => {
                         assert!(
                             job.run_inline(&limits).is_err(),
                             "{} failed in service but succeeds inline: {error}",
                             job.kind()
                         );
                     }
-                    Expectation::Clean | Expectation::OverLimit => {
-                        panic!("{:?} job must not fail: {error}", expectation)
-                    }
+                    (other, _) => panic!("{other:?} job must not fail: {error}"),
                 }
             }
             other => panic!("unexpected terminal state {other:?}"),
@@ -336,8 +357,8 @@ fn soak_500_mixed_jobs_with_faults() {
         shed_too_large + queue_full_rejections,
         "every admission rejection is counted as shed"
     );
-    assert!(health.worker_panics > 0, "panic jobs were injected");
-    assert!(health.retried > 0, "panics are retried");
+    assert!(panic_jobs > 0, "panic jobs were injected");
+    assert_eq!(health.worker_panics, panic_jobs, "each panic job ran exactly once");
     assert_eq!(health.in_flight, 0);
     assert_eq!(health.queue_depth, 0);
     assert!(health.latency.count() > 0);
