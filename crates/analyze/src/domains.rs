@@ -12,7 +12,7 @@
 use crate::dataflow::{solve_forward, AnalysisError, EdgeFlow, Problem};
 use slif_speclang::ast::{BinOp, UnOp};
 use slif_speclang::{FlowBehavior, FlowExpr, FlowOp, SlotInfo, SlotKind};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Positive infinity sentinel. Half of `i128::MAX` leaves headroom so
@@ -275,7 +275,7 @@ fn logic(op: BinOp, l: Interval, r: Interval) -> Interval {
 /// Callee return-range summaries, by behavior name. Built bottom-up over
 /// the call graph; missing entries (unknown callees, call cycles broken
 /// at the back edge) evaluate to [`Interval::TOP`].
-pub(crate) type Summaries = BTreeMap<String, Interval>;
+pub(crate) type Summaries<'a> = HashMap<&'a str, Interval>;
 
 /// Evaluates an expression to an interval in `state` (one interval per
 /// slot of the behavior).
@@ -306,7 +306,7 @@ pub(crate) fn eval(
                 "min" => arg(0).min_of(arg(1)),
                 "max" => arg(0).max_of(arg(1)),
                 "abs" => arg(0).abs(),
-                _ => summaries.get(callee).copied().unwrap_or(Interval::TOP),
+                _ => summaries.get(callee.as_str()).copied().unwrap_or(Interval::TOP),
             }
         }
         FlowExpr::Binary { op, lhs, rhs } => {
@@ -338,7 +338,7 @@ pub(crate) fn eval(
 
 /// The forward value-range problem over one behavior.
 pub(crate) struct ValueProblem<'a> {
-    pub summaries: &'a Summaries,
+    pub summaries: &'a Summaries<'a>,
 }
 
 /// Whether executing this node can run user-defined code (whose writes

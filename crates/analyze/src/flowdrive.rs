@@ -23,7 +23,7 @@ use crate::lint::{AnalysisConfig, LintId, LintLevel};
 use crate::report::Finding;
 use crate::{constcond, deadstore, range, uninit};
 use slif_speclang::FlowProgram;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// How many flow passes the driver owns (`A006`, `A007`, `A008`, `A009`).
 pub(crate) const FLOW_PASSES: usize = 4;
@@ -50,7 +50,7 @@ struct BehaviorEntry {
 /// [`AnalysisMemo`](crate::AnalysisMemo); a cold run uses a throwaway.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FlowCache {
-    entries: BTreeMap<String, BehaviorEntry>,
+    entries: HashMap<String, BehaviorEntry>,
 }
 
 /// Findings and suppressed counts per flow pass, in `A006`…`A009` order.
@@ -128,28 +128,31 @@ fn solve_behavior(
 pub(crate) fn run_flow_passes(
     flow: &FlowProgram,
     config: &AnalysisConfig,
-    cache: Option<&mut FlowCache>,
+    mut cache: Option<&mut FlowCache>,
 ) -> FlowResults {
     let cap = config.max_fixpoint_visits;
-    let mut summaries: Summaries = BTreeMap::new();
-    let mut entries: BTreeMap<String, BehaviorEntry> = BTreeMap::new();
-    let old = cache.as_ref().map(|c| &c.entries);
+    let mut summaries = Summaries::with_capacity(flow.behaviors.len());
+    let mut entries = HashMap::with_capacity(flow.behaviors.len());
+    // Hits move out of the old cache, name and all: nothing is cloned.
+    let mut old = cache.as_deref_mut().map(std::mem::take).unwrap_or_default().entries;
     for i in flow.bottom_up_order() {
         let b = &flow.behaviors[i];
         let key = entry_key(b, cap, &summaries);
-        let entry = match old.and_then(|c| c.get(&b.name)).filter(|e| e.key == key) {
-            Some(hit) => hit.clone(),
-            None => solve_behavior(b, &summaries, cap, key),
+        let (name, entry) = match old.remove_entry(&b.name) {
+            Some((name, hit)) if hit.key == key => (name, hit),
+            _ => (b.name.clone(), solve_behavior(b, &summaries, cap, key)),
         };
-        summaries.insert(b.name.clone(), entry.summary);
-        entries.insert(b.name.clone(), entry);
+        summaries.insert(&b.name, entry.summary);
+        entries.insert(name, entry);
     }
 
+    // One lookup per behavior, shared by the four passes.
+    let by_behavior: Vec<_> = flow.behaviors.iter().map(|b| entries.get(&b.name)).collect();
     let mut passes: [(Vec<Finding>, usize); FLOW_PASSES] =
         [const { (Vec::new(), 0) }; FLOW_PASSES];
     for (p, (findings, suppressed)) in passes.iter_mut().enumerate() {
-        for b in &flow.behaviors {
-            let Some(entry) = entries.get(&b.name) else {
+        for (b, entry) in flow.behaviors.iter().zip(&by_behavior) {
+            let Some(entry) = entry else {
                 continue;
             };
             for raw in &entry.raw[p] {
@@ -183,13 +186,13 @@ pub(crate) fn run_flow_passes(
 /// This is the typed-refusal surface behind
 /// [`check_flow_bounded`](crate::check_flow_bounded).
 pub(crate) fn check_bounded(flow: &FlowProgram, cap: u32) -> Result<(), AnalysisError> {
-    let mut summaries: Summaries = BTreeMap::new();
+    let mut summaries = Summaries::new();
     for i in flow.bottom_up_order() {
         let b = &flow.behaviors[i];
         let states = solve_values(b, &summaries, cap)?;
         uninit::check(b, cap)?;
         deadstore::check(b, cap)?;
-        summaries.insert(b.name.clone(), summarize_returns(b, &states, &summaries));
+        summaries.insert(&b.name, summarize_returns(b, &states, &summaries));
     }
     Ok(())
 }

@@ -63,7 +63,7 @@ fn bench_preprocessing(c: &mut Criterion) {
             b.iter(|| {
                 let total: u64 = set_cdfgs
                     .iter()
-                    .map(|g| synthesize_behavior(g, &model).weights.size)
+                    .map(|g| synthesize_behavior(g, &model).size)
                     .sum();
                 black_box(total)
             })

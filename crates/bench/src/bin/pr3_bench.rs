@@ -11,21 +11,36 @@
 //! - `compiled_full` — the memo-clearing `FullEstimator`, the floor any
 //!   incremental scheme must beat.
 //!
+//! It also records the pre-synthesis cost of a cold build (the paper's
+//! T-slif step) on every corpus spec: the median ns to lower the spec to
+//! CDFGs (`lower_spec`) and to synthesize every behavior once
+//! (`synthesize_behavior`, against the standard library's first ASIC
+//! model). Block scheduling is the inner loop of that synthesis; the
+//! bench asserts it costs no more than lowering (`SYNTHESIS_FLOOR`) over
+//! the corpus.
+//!
 //! Writes `BENCH_pr3.json` (or the path given as the first argument).
 //! Unlike the criterion targets this emits machine-readable output, so
 //! `scripts/verify.sh` can seed the repo's benchmark record.
 
 use slif_bench::baseline::{baseline_cost, BaselineIncremental};
+use slif_cdfg::lower_spec;
 use slif_core::gen::DesignGenerator;
 use slif_core::{CompiledDesign, Design, NodeId, Partition, PmRef};
 use slif_estimate::{FullEstimator, IncrementalEstimator};
 use slif_explore::{cost, Objectives};
+use slif_speclang::corpus;
+use slif_techlib::{synthesize_behavior, TechnologyLibrary};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
 const MOVES: usize = 64;
 const ROUNDS: usize = 15;
+/// Rounds of the corpus build record.
+const BUILD_ROUNDS: usize = 51;
+/// Asserted ceiling on corpus synthesis time over corpus lowering time.
+const SYNTHESIS_FLOOR: f64 = 1.0;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
@@ -118,6 +133,52 @@ fn measure(design: &Design, part: &Partition, objectives: &Objectives) -> (f64, 
     (baseline, incremental, full)
 }
 
+/// Median ns of `lower_spec` and of synthesizing every behavior, per
+/// corpus spec, as JSON entries; plus the corpus totals of both medians.
+fn build_record() -> (String, f64, f64) {
+    let lib = TechnologyLibrary::standard();
+    let model = &lib.asics[0];
+    let mut entries = String::new();
+    let (mut lower_total, mut synth_total) = (0.0, 0.0);
+    for (i, entry) in corpus::all().iter().enumerate() {
+        let rs = entry.load().expect("corpus spec loads");
+        let cdfgs = lower_spec(&rs);
+        let mut lower = Vec::with_capacity(BUILD_ROUNDS);
+        let mut synth = Vec::with_capacity(BUILD_ROUNDS);
+        for _ in 0..BUILD_ROUNDS {
+            let start = Instant::now();
+            black_box(lower_spec(black_box(&rs)));
+            lower.push(start.elapsed().as_nanos() as f64);
+            let start = Instant::now();
+            for g in &cdfgs {
+                black_box(synthesize_behavior(black_box(g), model));
+            }
+            synth.push(start.elapsed().as_nanos() as f64);
+        }
+        let (lower, synth) = (median(lower), median(synth));
+        lower_total += lower;
+        synth_total += synth;
+        println!(
+            "{:>6}: lower_spec {lower:>10.0} ns, synthesize {synth:>10.0} ns ({:.2}x)",
+            entry.name,
+            synth / lower
+        );
+        if i > 0 {
+            entries.push(',');
+        }
+        write!(
+            entries,
+            "\n      {{\"spec\": \"{}\", \"behaviors\": {}, \"lower_spec_ns\": {lower:.0}, \
+             \"synthesize_ns\": {synth:.0}, \"synthesis_over_lowering\": {:.3}}}",
+            entry.name,
+            cdfgs.len(),
+            synth / lower
+        )
+        .expect("write to string");
+    }
+    (entries, lower_total, synth_total)
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -158,11 +219,25 @@ fn main() {
         .expect("write to string");
     }
 
+    let (build_entries, lower_total, synth_total) = build_record();
+    let ratio = synth_total / lower_total;
+    println!("corpus: synthesis {ratio:.2}x lowering (ceiling {SYNTHESIS_FLOOR}x)");
+
     let json = format!(
         "{{\n  \"bench\": \"pr3_compiled_speedup\",\n  \"workload\": \
          \"move one node cyclically then recompute full cost, per evaluation\",\n  \
-         \"moves_per_round\": {MOVES},\n  \"rounds\": {ROUNDS},\n  \"sizes\": [{entries}\n  ]\n}}\n"
+         \"moves_per_round\": {MOVES},\n  \"rounds\": {ROUNDS},\n  \
+         \"sizes\": [{entries}\n  ],\n  \"build\": {{\n    \"workload\": \
+         \"pre-synthesis of every corpus behavior for the first standard-library ASIC model, \
+         vs lowering the spec\",\n    \"rounds\": {BUILD_ROUNDS},\n    \
+         \"specs\": [{build_entries}\n    ],\n    \
+         \"corpus_synthesis_over_lowering\": {ratio:.3},\n    \
+         \"asserted_ceiling\": {SYNTHESIS_FLOOR:.1}\n  }}\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write bench json");
     println!("wrote {out_path}");
+    assert!(
+        ratio <= SYNTHESIS_FLOOR,
+        "corpus synthesis takes {ratio:.2}x lowering, above the {SYNTHESIS_FLOOR}x ceiling"
+    );
 }

@@ -16,7 +16,10 @@
 //! a 2-core host measured 14.4x, 12.6x and 12.8x there (4.5–5.1x before
 //! the session kept its flow program and resolution tables across
 //! edits), and the floor sits below 2/3 of that median so host noise
-//! cannot trip it while a real regression still does.
+//! cannot trip it while a real regression still does. Cheaper
+//! pre-synthesis later shrank the cold open by ~25% (ratio 8.0–9.1x,
+//! two of five runs under the floor); moving flow-cache hits instead of
+//! cloning them restored the margin: 18.0x, 18.4x and 17.2x.
 
 use slif_session::{EditDelta, EditSession, RecomputeTier, SessionConfig};
 use std::fmt::Write as _;

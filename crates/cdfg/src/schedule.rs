@@ -9,9 +9,8 @@
 //! technology model and turns the resulting latencies into ict weights
 //! and functional-unit usage into area estimates.
 
-use crate::ir::{BlockId, Cdfg, OpId, OpKind};
+use crate::ir::{BlockId, Cdfg, OpKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Functional-unit classes used for resource constraints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,6 +26,14 @@ pub enum FuClass {
     /// Everything else (control, calls, I/O) — not resource-limited.
     Other,
 }
+
+impl FuClass {
+    /// Number of classes: the length of a [`Usage`] array.
+    pub const COUNT: usize = 5;
+}
+
+/// A count per functional-unit class, indexed by `class as usize`.
+pub type Usage = [u32; FuClass::COUNT];
 
 /// Classifies an operation into a functional-unit class.
 pub fn fu_class(kind: &OpKind) -> FuClass {
@@ -81,14 +88,9 @@ impl ResourceSet {
         }
     }
 
-    fn limit(&self, class: FuClass) -> u32 {
-        match class {
-            FuClass::Alu => self.alus,
-            FuClass::Mul => self.muls,
-            FuClass::Div => self.divs,
-            FuClass::Mem => self.mem_ports,
-            FuClass::Other => u32::MAX,
-        }
+    /// Units per class, indexed by `class as usize`.
+    fn limits(&self) -> Usage {
+        [self.alus, self.muls, self.divs, self.mem_ports, u32::MAX]
     }
 }
 
@@ -98,204 +100,208 @@ impl Default for ResourceSet {
     }
 }
 
-/// The result of scheduling one basic block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockSchedule {
-    /// Start cycle of each scheduled op (block-relative).
-    pub start: HashMap<OpId, u64>,
-    /// Total block latency in cycles.
-    pub latency: u64,
-    /// Peak number of simultaneously busy units per class.
-    pub peak_usage: HashMap<FuClass, u32>,
+/// Block scheduling over dense arrays indexed by an op's position in its
+/// block (an op's inputs always precede it). The buffers are cleared per
+/// block and never shrink, so one `Scheduler` schedules block after block
+/// without allocating once they have grown to the largest block.
+#[derive(Debug, Default)]
+pub struct Scheduler {
+    /// Op index → position in the block being scheduled (meaningful only
+    /// for that block's ops).
+    pos: Vec<u32>,
+    delay: Vec<u64>,
+    class: Vec<FuClass>,
+    /// In-block input positions of position `i`: `inputs[in_off[i]..in_off[i + 1]]`.
+    in_off: Vec<u32>,
+    inputs: Vec<u32>,
+    start: Vec<u64>,
+    finish: Vec<u64>,
+    /// ALAP start per position.
+    late: Vec<u64>,
+    /// Priority order of the ops list scheduling has not issued yet.
+    order: Vec<u32>,
+    /// Units held by issued multi-cycle ops, as `(class, free_at)`.
+    busy: Vec<(FuClass, u64)>,
+    /// Peak-usage events, packed as `cycle << 4 | is_start << 3 | class`
+    /// so that they sort by cycle, ends first.
+    events: Vec<u64>,
 }
 
-impl BlockSchedule {
-    /// Ops that start at the same cycle — used to derive concurrency tags.
-    pub fn concurrent_groups(&self) -> Vec<Vec<OpId>> {
-        let mut by_start: HashMap<u64, Vec<OpId>> = HashMap::new();
-        for (&op, &s) in &self.start {
-            by_start.entry(s).or_default().push(op);
-        }
-        let mut groups: Vec<Vec<OpId>> = by_start.into_values().filter(|g| g.len() > 1).collect();
-        for g in &mut groups {
-            g.sort();
-        }
-        groups.sort();
-        groups
-    }
-}
-
-/// ASAP schedule of `block`: every op starts as soon as its in-block
-/// dataflow operands finish. Returns per-op start cycles and the critical
-/// path latency. `delay_of` gives each op's latency in cycles (0-delay
-/// ops are allowed and chain within a cycle).
-pub fn asap(g: &Cdfg, block: BlockId, delay_of: &dyn Fn(&OpKind) -> u64) -> BlockSchedule {
-    let ops = &g.block(block).ops;
-    let mut start: HashMap<OpId, u64> = HashMap::with_capacity(ops.len());
-    let mut finish: HashMap<OpId, u64> = HashMap::with_capacity(ops.len());
-    let mut latency = 0;
-    for &op in ops {
-        let node = g.op(op);
-        let ready = node
-            .inputs
-            .iter()
-            .filter_map(|i| finish.get(i).copied())
-            .max()
-            .unwrap_or(0);
-        let d = delay_of(&node.kind);
-        start.insert(op, ready);
-        finish.insert(op, ready + d);
-        latency = latency.max(ready + d);
-    }
-    let peak_usage = peak_usage(g, &start, &finish);
-    BlockSchedule {
-        start,
-        latency,
-        peak_usage,
-    }
-}
-
-/// ALAP start times for `block` against a target latency (usually the
-/// ASAP latency). Returns per-op latest start cycles.
-pub fn alap(
-    g: &Cdfg,
-    block: BlockId,
-    delay_of: &dyn Fn(&OpKind) -> u64,
-    target_latency: u64,
-) -> HashMap<OpId, u64> {
-    let ops = &g.block(block).ops;
-    // Build successor lists restricted to this block.
-    let mut latest_finish: HashMap<OpId, u64> = HashMap::with_capacity(ops.len());
-    for &op in ops.iter().rev() {
-        let node = g.op(op);
-        let d = delay_of(&node.kind);
-        // An op must finish before the earliest latest-start of its users.
-        let bound = ops
-            .iter()
-            .filter(|&&user| g.op(user).inputs.contains(&op))
-            .filter_map(|&user| {
-                latest_finish
-                    .get(&user)
-                    .map(|&f| f - delay_of(&g.op(user).kind))
-            })
-            .min()
-            .unwrap_or(target_latency);
-        latest_finish.insert(op, bound);
-        let _ = d;
-    }
-    ops.iter()
-        .map(|&op| {
-            let d = delay_of(&g.op(op).kind);
-            let f = latest_finish[&op];
-            (op, f.saturating_sub(d))
-        })
-        .collect()
-}
-
-/// Resource-constrained list scheduling of `block`.
-///
-/// Priority is ALAP slack (critical ops first). Each cycle, ready ops are
-/// issued while units of their class remain; multi-cycle ops hold their
-/// unit until completion.
-pub fn list_schedule(
-    g: &Cdfg,
-    block: BlockId,
-    delay_of: &dyn Fn(&OpKind) -> u64,
-    resources: ResourceSet,
-) -> BlockSchedule {
-    let ops = &g.block(block).ops;
-    if ops.is_empty() {
-        return BlockSchedule {
-            start: HashMap::new(),
-            latency: 0,
-            peak_usage: HashMap::new(),
-        };
-    }
-    let unconstrained = asap(g, block, delay_of);
-    let alap_start = alap(g, block, delay_of, unconstrained.latency);
-
-    let mut start: HashMap<OpId, u64> = HashMap::with_capacity(ops.len());
-    let mut finish: HashMap<OpId, u64> = HashMap::with_capacity(ops.len());
-    let mut remaining: Vec<OpId> = ops.clone();
-    // Critical ops (small ALAP start) first.
-    remaining.sort_by_key(|op| alap_start.get(op).copied().unwrap_or(0));
-
-    let mut cycle: u64 = 0;
-    // Busy units per class, as (class, free_at) pairs.
-    let mut busy: Vec<(FuClass, u64)> = Vec::new();
-    let mut guard = 0usize;
-    while !remaining.is_empty() {
-        busy.retain(|&(_, free_at)| free_at > cycle);
-        let mut issued_any = false;
-        let mut i = 0;
-        while i < remaining.len() {
-            let op = remaining[i];
+impl Scheduler {
+    /// Copies `block`'s delays, classes and in-block inputs into the
+    /// position-indexed buffers.
+    fn load(&mut self, g: &Cdfg, block: BlockId, delay_of: &dyn Fn(&OpKind) -> u64) {
+        self.pos.resize(self.pos.len().max(g.node_count()), 0);
+        self.delay.clear();
+        self.class.clear();
+        self.in_off.clear();
+        self.inputs.clear();
+        self.in_off.push(0);
+        for (i, &op) in g.block(block).ops.iter().enumerate() {
+            self.pos[op.index()] = i as u32;
             let node = g.op(op);
-            // Ready: all in-block inputs finished by now.
-            let ready = node
-                .inputs
-                .iter()
-                .all(|inp| !ops.contains(inp) || finish.get(inp).is_some_and(|&f| f <= cycle));
-            if ready {
-                let class = fu_class(&node.kind);
-                let in_use = busy.iter().filter(|(c, _)| *c == class).count() as u32;
-                if in_use < resources.limit(class) {
-                    let d = delay_of(&node.kind);
-                    start.insert(op, cycle);
-                    // Zero-delay ops (e.g. channel accesses, whose time is
-                    // estimated separately) finish instantly and occupy no
-                    // unit; real ops hold their unit until completion.
-                    finish.insert(op, cycle + d);
+            self.delay.push(delay_of(&node.kind));
+            self.class.push(fu_class(&node.kind));
+            let in_block = node.inputs.iter().filter(|inp| g.op(**inp).block == block);
+            self.inputs.extend(in_block.map(|inp| self.pos[inp.index()]));
+            self.in_off.push(self.inputs.len() as u32);
+        }
+    }
+
+    fn inputs_of(&self, i: usize) -> &[u32] {
+        &self.inputs[self.in_off[i] as usize..self.in_off[i + 1] as usize]
+    }
+
+    /// ASAP schedule of `block`: every op starts as soon as its in-block
+    /// dataflow operands finish. Returns the critical-path latency and
+    /// leaves the starts in [`Scheduler::starts`]. `delay_of` gives each
+    /// op's latency in cycles (0-delay ops chain within a cycle).
+    pub fn asap(&mut self, g: &Cdfg, block: BlockId, delay_of: &dyn Fn(&OpKind) -> u64) -> u64 {
+        self.load(g, block, delay_of);
+        self.start.clear();
+        self.finish.clear();
+        let mut latency = 0;
+        for i in 0..self.delay.len() {
+            let ready = self.inputs_of(i).iter().map(|&j| self.finish[j as usize]).max();
+            self.start.push(ready.unwrap_or(0));
+            self.finish.push(self.start[i] + self.delay[i]);
+            latency = latency.max(self.finish[i]);
+        }
+        latency
+    }
+
+    /// ALAP (latest) start of each op of `block` against a target
+    /// latency, usually the ASAP latency; positional with the block's ops.
+    pub fn alap(
+        &mut self,
+        g: &Cdfg,
+        block: BlockId,
+        delay_of: &dyn Fn(&OpKind) -> u64,
+        target: u64,
+    ) -> &[u64] {
+        self.load(g, block, delay_of);
+        self.late_starts(target);
+        &self.late
+    }
+
+    /// An op must finish before the earliest latest start of its in-block
+    /// users. Walking positions backwards settles every user before its
+    /// inputs, so each op pushes its latest start into its inputs' bounds
+    /// once: the input lists, read backwards, are the user lists.
+    fn late_starts(&mut self, target: u64) {
+        let n = self.delay.len();
+        // `u64::MAX` marks an op with no in-block user.
+        self.late.clear();
+        self.late.resize(n, u64::MAX);
+        for i in (0..n).rev() {
+            if self.late[i] == u64::MAX {
+                self.late[i] = target;
+            }
+            for k in self.in_off[i]..self.in_off[i + 1] {
+                let j = self.inputs[k as usize] as usize;
+                self.late[j] = self.late[j].min(self.late[i] - self.delay[i]);
+            }
+            self.late[i] = self.late[i].saturating_sub(self.delay[i]);
+        }
+    }
+
+    /// Resource-constrained list scheduling of `block`: returns its
+    /// latency and peak unit usage and leaves the starts in
+    /// [`Scheduler::starts`].
+    ///
+    /// Ops go in ALAP-start order (critical first, ties in program order).
+    /// Each cycle, a sweep issues every ready op whose class has a free
+    /// unit; a sweep that issues anything repeats at the same cycle, as a
+    /// zero-delay op may have readied an earlier one. Multi-cycle ops hold
+    /// their unit until they finish; zero-delay ops (e.g. channel
+    /// accesses, timed separately) need a free unit but hold none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an op can never issue (its class has zero units).
+    pub fn list_schedule(
+        &mut self,
+        g: &Cdfg,
+        block: BlockId,
+        delay_of: &dyn Fn(&OpKind) -> u64,
+        resources: ResourceSet,
+    ) -> (u64, Usage) {
+        let latency = self.asap(g, block, delay_of);
+        self.late_starts(latency);
+        let n = self.delay.len();
+        self.order.clear();
+        self.order.extend(0..n as u32);
+        let late = &self.late;
+        self.order.sort_unstable_by_key(|&i| (late[i as usize], i));
+        // `u64::MAX` marks an op not issued yet: never finished.
+        self.finish.clear();
+        self.finish.resize(n, u64::MAX);
+        self.busy.clear();
+        let limits = resources.limits();
+        let mut in_use: Usage = [0; FuClass::COUNT];
+        let (mut cycle, mut remaining) = (0, n);
+        while remaining > 0 {
+            self.busy.retain(|&(class, free_at)| {
+                in_use[class as usize] -= u32::from(free_at <= cycle);
+                free_at > cycle
+            });
+            let mut kept = 0;
+            for k in 0..remaining {
+                let i = self.order[k] as usize;
+                let (class, d) = (self.class[i], self.delay[i]);
+                let ready = self.inputs_of(i).iter().all(|&j| self.finish[j as usize] <= cycle);
+                if ready && in_use[class as usize] < limits[class as usize] {
+                    self.start[i] = cycle;
+                    self.finish[i] = cycle + d;
                     if d > 0 {
-                        busy.push((class, cycle + d));
+                        self.busy.push((class, cycle + d));
+                        in_use[class as usize] += 1;
                     }
-                    remaining.remove(i);
-                    issued_any = true;
-                    continue;
+                } else {
+                    self.order[kept] = i as u32;
+                    kept += 1;
                 }
             }
-            i += 1;
+            if kept == remaining {
+                // Nothing issued, and nothing changes until the next unit
+                // frees: skip the idle cycles.
+                let next = self.busy.iter().map(|&(_, free_at)| free_at).min();
+                cycle = next.expect("list scheduling failed to converge (a class with no units?)");
+            }
+            remaining = kept;
         }
-        if !issued_any {
-            cycle += 1;
-        }
-        guard += 1;
-        assert!(
-            guard < 1_000_000,
-            "list scheduling failed to converge (cyclic in-block dataflow?)"
-        );
+        let latency = self.finish.iter().copied().max().unwrap_or(0);
+        (latency, self.peak_usage())
     }
-    let latency = finish.values().copied().max().unwrap_or(0);
-    let peak_usage = peak_usage(g, &start, &finish);
-    BlockSchedule {
-        start,
-        latency,
-        peak_usage,
-    }
-}
 
-fn peak_usage(
-    g: &Cdfg,
-    start: &HashMap<OpId, u64>,
-    finish: &HashMap<OpId, u64>,
-) -> HashMap<FuClass, u32> {
-    let mut peak: HashMap<FuClass, u32> = HashMap::new();
-    // Sample usage at each distinct start cycle.
-    for (&probe_op, &t) in start {
-        let _ = probe_op;
-        let mut usage: HashMap<FuClass, u32> = HashMap::new();
-        for (&op, &s) in start {
-            let f = finish[&op];
-            if s <= t && t < f.max(s + 1) {
-                *usage.entry(fu_class(&g.op(op).kind)).or_insert(0) += 1;
+    /// Start cycle of each op in the last schedule, positional with the
+    /// block's ops.
+    pub fn starts(&self) -> &[u64] {
+        &self.start
+    }
+
+    /// Peak usage per class in the last schedule: the most ops of a class
+    /// active at any op's start cycle `t`, where an op starting at `s` and
+    /// finishing at `f` is active over `s ≤ t < max(f, s + 1)`.
+    pub fn peak_usage(&mut self) -> Usage {
+        self.events.clear();
+        for ((&s, &f), &class) in self.start.iter().zip(&self.finish).zip(&self.class) {
+            self.events.push(s << 4 | 8 | class as u64);
+            self.events.push(f.max(s + 1) << 4 | class as u64);
+        }
+        self.events.sort_unstable();
+        let (mut active, mut peak) = ([0u32; FuClass::COUNT], [0u32; FuClass::COUNT]);
+        for &e in &self.events {
+            let c = (e & 7) as usize;
+            if e & 8 != 0 {
+                active[c] += 1;
+                peak[c] = peak[c].max(active[c]);
+            } else {
+                active[c] -= 1;
             }
         }
-        for (class, n) in usage {
-            let entry = peak.entry(class).or_insert(0);
-            *entry = (*entry).max(n);
-        }
+        peak
     }
-    peak
 }
 
 #[cfg(test)]
@@ -307,6 +313,9 @@ mod tests {
     fn unit(_k: &OpKind) -> u64 {
         1
     }
+
+    const ALU: usize = FuClass::Alu as usize;
+    const MEM: usize = FuClass::Mem as usize;
 
     /// A block computing (a+b) * (c+d): two independent adds then a mul.
     fn adder_tree() -> (Cdfg, BlockId) {
@@ -325,32 +334,37 @@ mod tests {
     #[test]
     fn asap_critical_path() {
         let (g, b) = adder_tree();
-        let s = asap(&g, b, &unit);
+        let mut s = Scheduler::default();
         // reads at 0 (1 cycle), adds at 1, mul at 2 → latency 3.
-        assert_eq!(s.latency, 3);
-        assert_eq!(s.start[&g.block(b).ops[4]], 1);
-        assert_eq!(s.start[&g.block(b).ops[6]], 2);
+        assert_eq!(s.asap(&g, b, &unit), 3);
+        assert_eq!(s.starts(), &[0, 0, 0, 0, 1, 1, 2]);
     }
 
     #[test]
     fn asap_peak_usage_sees_parallel_adds() {
         let (g, b) = adder_tree();
-        let s = asap(&g, b, &unit);
-        assert_eq!(s.peak_usage[&FuClass::Alu], 2);
-        assert_eq!(s.peak_usage[&FuClass::Mem], 4);
+        let mut s = Scheduler::default();
+        s.asap(&g, b, &unit);
+        let peak = s.peak_usage();
+        assert_eq!(peak[ALU], 2);
+        assert_eq!(peak[MEM], 4);
     }
 
     #[test]
     fn alap_pushes_slack_late() {
         let (g, b) = adder_tree();
-        let s = asap(&g, b, &unit);
-        let alap_start = alap(&g, b, &unit, s.latency);
+        let mut s = Scheduler::default();
+        let latency = s.asap(&g, b, &unit);
+        let early = s.starts().to_vec();
+        let late = s.alap(&g, b, &unit, latency);
         // The multiplication is critical: ALAP start == ASAP start.
-        let mul = g.block(b).ops[6];
-        assert_eq!(alap_start[&mul], s.start[&mul]);
-        // Reads have slack: they may start later than 0.
-        let a = g.block(b).ops[0];
-        assert!(alap_start[&a] >= s.start[&a]);
+        assert_eq!(late[6], early[6]);
+        // Every op starts no earlier than ASAP and none is pushed past
+        // the target.
+        assert!(late.iter().zip(&early).all(|(l, e)| l >= e));
+        assert_eq!(late, &[0, 0, 0, 0, 1, 1, 2]);
+        // Two cycles of slack slide every op two cycles later.
+        assert_eq!(s.alap(&g, b, &unit, latency + 2), &[2, 2, 2, 2, 3, 3, 4]);
     }
 
     #[test]
@@ -363,29 +377,31 @@ mod tests {
             divs: 1,
             mem_ports: 1,
         };
-        let s = list_schedule(&g, b, &unit, tight);
-        assert!(s.latency >= 6, "latency {} with 1 port", s.latency);
-        assert!(s.peak_usage[&FuClass::Mem] <= 1);
-        assert!(s.peak_usage[&FuClass::Alu] <= 1);
+        let mut s = Scheduler::default();
+        let (latency, peak) = s.list_schedule(&g, b, &unit, tight);
+        assert!(latency >= 6, "latency {latency} with 1 port");
+        assert!(peak[MEM] <= 1);
+        assert!(peak[ALU] <= 1);
         // With generous resources we approach the ASAP latency.
-        let loose = list_schedule(&g, b, &unit, ResourceSet::large());
-        assert!(loose.latency <= s.latency);
+        let (loose, _) = s.list_schedule(&g, b, &unit, ResourceSet::large());
+        assert!(loose <= latency);
     }
 
     #[test]
     fn list_schedule_never_beats_asap() {
         let (g, b) = adder_tree();
-        let unconstrained = asap(&g, b, &unit);
-        let constrained = list_schedule(&g, b, &unit, ResourceSet::small());
-        assert!(constrained.latency >= unconstrained.latency);
+        let mut s = Scheduler::default();
+        let unconstrained = s.asap(&g, b, &unit);
+        let (constrained, _) = s.list_schedule(&g, b, &unit, ResourceSet::small());
+        assert!(constrained >= unconstrained);
     }
 
     #[test]
     fn empty_block_schedules_trivially() {
         let g = Cdfg::new("t");
-        let s = list_schedule(&g, g.entry(), &unit, ResourceSet::small());
-        assert_eq!(s.latency, 0);
-        assert!(s.start.is_empty());
+        let mut s = Scheduler::default();
+        assert_eq!(s.list_schedule(&g, g.entry(), &unit, ResourceSet::small()), (0, [0; 5]));
+        assert!(s.starts().is_empty());
     }
 
     #[test]
@@ -401,27 +417,306 @@ mod tests {
             _ => 1,
         };
         // One multiplier: the second mul waits for the first to release it.
-        let s = list_schedule(
-            &g,
-            b,
-            &delays,
-            ResourceSet {
-                alus: 1,
-                muls: 1,
-                divs: 1,
-                mem_ports: 2,
-            },
-        );
-        assert!(s.latency >= 9, "latency {}", s.latency);
+        let ports = ResourceSet {
+            alus: 1,
+            muls: 1,
+            divs: 1,
+            mem_ports: 2,
+        };
+        let (latency, _) = Scheduler::default().list_schedule(&g, b, &delays, ports);
+        assert!(latency >= 9, "latency {latency}");
     }
 
     #[test]
-    fn concurrent_groups_from_schedule() {
+    fn zero_delay_ops_need_a_unit_but_hold_none() {
+        // Four zero-delay global reads on one memory port: each needs the
+        // free port, so they issue one per sweep, all in cycle 0.
+        let mut g = Cdfg::new("t");
+        let b = g.entry();
+        for v in ["a", "b", "c", "d"] {
+            g.add_op(b, OpKind::ReadGlobal(v.into()), vec![]);
+        }
+        let free = |_: &OpKind| 0;
+        let mut s = Scheduler::default();
+        assert_eq!(s.list_schedule(&g, b, &free, ResourceSet::small()).0, 0);
+        assert_eq!(s.starts(), &[0, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "failed to converge")]
+    fn a_class_without_units_cannot_schedule() {
         let (g, b) = adder_tree();
-        let s = asap(&g, b, &unit);
-        let groups = s.concurrent_groups();
-        // The four reads share cycle 0; the two adds share cycle 1.
-        assert!(groups.iter().any(|grp| grp.len() == 4));
-        assert!(groups.iter().any(|grp| grp.len() == 2));
+        let no_alus = ResourceSet {
+            alus: 0,
+            ..ResourceSet::small()
+        };
+        Scheduler::default().list_schedule(&g, b, &unit, no_alus);
+    }
+
+    #[test]
+    fn list_starts_are_positional_with_the_block() {
+        let (g, b) = adder_tree();
+        // Two memory ports: the reads go two per cycle, and the first add
+        // issues as soon as its operands land.
+        let mut s = Scheduler::default();
+        let (latency, _) = s.list_schedule(&g, b, &unit, ResourceSet::large());
+        assert_eq!(latency, 4);
+        assert_eq!(s.starts(), &[0, 0, 1, 1, 1, 2, 3]);
+    }
+}
+
+/// Bit-identity oracle: random blocks through every scheduler entry
+/// point, folded into one digest pinned from the previous implementation.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::ir::{AluOp, ExecCount, OpId};
+
+    /// SplitMix64: a dependency-free generator, so the pinned digests
+    /// cannot move with a `rand` upgrade.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    const ORACLE_SEEDS: usize = 250;
+    const BLOCKS_PER_SEED: usize = 20;
+
+    /// One random behavior: `BLOCKS_PER_SEED` blocks of 1–40 ops over every
+    /// functional-unit class, each op with 0–3 inputs drawn mostly from its
+    /// own block and sometimes from earlier blocks.
+    fn random_cdfg(rng: &mut Rng) -> Cdfg {
+        let mut g = Cdfg::new("oracle");
+        for b in 0..BLOCKS_PER_SEED {
+            let block = if b == 0 { g.entry() } else { g.add_block(ExecCount::ONCE) };
+            let mut own: Vec<OpId> = Vec::new();
+            for _ in 0..=rng.below(40) {
+                let kind = match rng.below(12) {
+                    0 => OpKind::Const(rng.below(9) as i64),
+                    1 => OpKind::ReadLocal("t".into()),
+                    2 => OpKind::WriteLocalArray("m".into()),
+                    3 => OpKind::ReadGlobal("g".into()),
+                    4 => OpKind::Binary(AluOp::Add),
+                    5 => OpKind::Binary(AluOp::Mul),
+                    6 => OpKind::Binary(AluOp::Div),
+                    7 => OpKind::Unary(AluOp::Not),
+                    8 => OpKind::Call("p".into()),
+                    9 => OpKind::Wait(rng.below(9)),
+                    10 => OpKind::Binary(AluOp::Cmp),
+                    _ => OpKind::WriteGlobal("g".into()),
+                };
+                let total = g.node_count() as u64;
+                let inputs = (0..rng.below(4))
+                    .filter_map(|_| {
+                        if !own.is_empty() && rng.below(5) > 0 {
+                            Some(own[rng.below(own.len() as u64) as usize])
+                        } else if total > 0 {
+                            Some(OpId(rng.below(total) as u32))
+                        } else {
+                            None
+                        }
+                    })
+                    .collect();
+                own.push(g.add_op(block, kind, inputs));
+            }
+        }
+        g
+    }
+
+    /// Per-seed delays 0–8: a random cycle count per op kind, with
+    /// `Const(v)` and `Wait(v)` taking `v` itself so one block mixes
+    /// many delays, zero included.
+    fn random_delays(rng: &mut Rng) -> [u64; 12] {
+        let mut table = [0; 12];
+        for d in &mut table {
+            *d = rng.below(9);
+        }
+        table
+    }
+
+    fn delay_in(table: &[u64; 12], k: &OpKind) -> u64 {
+        match k {
+            OpKind::Const(v) => *v as u64,
+            OpKind::Wait(v) => *v,
+            OpKind::ReadLocal(_) => table[1],
+            OpKind::WriteLocalArray(_) => table[2],
+            OpKind::ReadGlobal(_) => table[3],
+            OpKind::Binary(AluOp::Add) => table[4],
+            OpKind::Binary(AluOp::Mul) => table[5],
+            OpKind::Binary(AluOp::Div) => table[6],
+            OpKind::Unary(_) => table[7],
+            OpKind::Call(_) => table[8],
+            OpKind::Binary(_) => table[10],
+            _ => table[11],
+        }
+    }
+
+    /// The resource sets the oracle cycles through: the two presets, a
+    /// one-of-each set, and a random 1–3 per class.
+    fn resources_for(rng: &mut Rng, block: usize) -> ResourceSet {
+        match block % 4 {
+            0 => ResourceSet::small(),
+            1 => ResourceSet::large(),
+            2 => ResourceSet { alus: 1, muls: 1, divs: 1, mem_ports: 1 },
+            _ => ResourceSet {
+                alus: 1 + rng.below(3) as u32,
+                muls: 1 + rng.below(3) as u32,
+                divs: 1 + rng.below(3) as u32,
+                mem_ports: 1 + rng.below(3) as u32,
+            },
+        }
+    }
+
+    fn fnv1a(hash: u64, words: &[u64]) -> u64 {
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(hash, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Every scheduler output for one block, as words: ASAP starts,
+    /// latency and peak usage; ALAP starts against the ASAP latency; the
+    /// list schedule's starts, latency and peak usage.
+    fn block_words(
+        s: &mut Scheduler,
+        g: &Cdfg,
+        b: BlockId,
+        delay: &dyn Fn(&OpKind) -> u64,
+        rs: ResourceSet,
+    ) -> Vec<u64> {
+        let mut w = Vec::new();
+        let latency = s.asap(g, b, delay);
+        w.extend(s.starts());
+        w.push(latency);
+        w.extend(s.peak_usage().map(u64::from));
+        w.extend(s.alap(g, b, delay, latency));
+        let (latency, peak) = s.list_schedule(g, b, delay, rs);
+        w.extend(s.starts());
+        w.push(latency);
+        w.extend(peak.map(u64::from));
+        w
+    }
+
+    /// Scheduler words of every block of one seed, all through one
+    /// `Scheduler`, so stale buffers from a bigger block would show.
+    fn seed_blocks(seed: usize) -> Vec<Vec<u64>> {
+        let mut rng = Rng(seed as u64);
+        let g = random_cdfg(&mut rng);
+        let table = random_delays(&mut rng);
+        let delay = move |k: &OpKind| delay_in(&table, k);
+        let mut s = Scheduler::default();
+        g.block_ids()
+            .enumerate()
+            .map(|(i, b)| {
+                let rs = resources_for(&mut rng, i);
+                block_words(&mut s, &g, b, &delay, rs)
+            })
+            .collect()
+    }
+
+    /// Combined digest of [`block_words`] over every block of seeds
+    /// `0..ORACLE_SEEDS` (5,000 blocks), pinned from the hash-map
+    /// scheduler this dense one replaced. Any change to a start cycle,
+    /// latency or peak usage moves it.
+    const ORACLE_DIGEST: u64 = 0xf4072145531bbe13;
+
+    /// Per-seed digests (low 32 bits) behind [`ORACLE_DIGEST`], so a
+    /// mismatch can name the first seed whose schedules moved.
+    const ORACLE_SEED_DIGESTS: [u32; ORACLE_SEEDS] = [
+    0x1d84d929, 0x7f7765a3, 0x0237c7ba, 0xcd695262, 0x879ce6dc, 0xd26050b6,
+    0x77f979cd, 0x1b41cf12, 0x05dd264b, 0xc1e922c5, 0xdc8d2c42, 0x1b91b61d,
+    0xf90746c0, 0x4f89853d, 0x839d0a5f, 0xa4f9bd53, 0x6b74dace, 0x7b65c5f7,
+    0x3adaa489, 0x493959c0, 0x23f5b875, 0xc3484ea2, 0xa445b88f, 0x280a84ea,
+    0x9003d99a, 0x570362f6, 0x63f47256, 0xe75797cd, 0x2f348807, 0xbf74a056,
+    0xb1bff73d, 0xfd7e169f, 0x5f07c163, 0xfda48182, 0xad4e57d5, 0x392c56d4,
+    0x21b34606, 0x24079930, 0xa9848741, 0x817fa6d0, 0x288c91bb, 0x47c26098,
+    0x7784d901, 0x2557d4b3, 0x5ea28b15, 0x4819fec6, 0x24695184, 0x2f92fd80,
+    0x7bc4b742, 0xe1b4583d, 0x9defce95, 0xf03063ce, 0xc5456eb3, 0x835e5c67,
+    0x97b4ffaa, 0xd43a389b, 0xd50dcfe1, 0x645c6fdc, 0x7d88cce1, 0x86dd4e8f,
+    0x54f95d52, 0x26400737, 0x2a5c5c02, 0x96f4c6c5, 0xff560efb, 0x2c372ac3,
+    0xe691b0ee, 0x2eb4a6ef, 0x61ebba54, 0x1d1da0ce, 0x33ca2304, 0x92a6e98e,
+    0x6480a9bf, 0x2498880d, 0x7ac66340, 0xfc0e7dca, 0x7ab98ee0, 0xcea75479,
+    0xdacafe6c, 0xeb08b84c, 0x26cabf80, 0x41e4c76a, 0xfdb6fb51, 0xb1ec4975,
+    0x6652d3f4, 0x49a1efdd, 0x24a4af92, 0x8a74436d, 0x2ee4ae06, 0xd082ef6c,
+    0xe4435e63, 0xf06607ef, 0x88100709, 0xdd57354c, 0x80edc67d, 0xd177b35c,
+    0xd3fed339, 0x83765404, 0x941952af, 0xa241fabc, 0x17cf149d, 0x7a1b95c5,
+    0xbb5f5496, 0xdb96adbb, 0x24fac977, 0x7070b05e, 0xff175d48, 0x4a66ba1f,
+    0xcac30206, 0xb84b22f8, 0x2b241677, 0xa1f8802e, 0xf4a36d64, 0x06365563,
+    0xd1cb3b75, 0x3a9390c6, 0xe2935c37, 0x0bca89c3, 0x4f2faccf, 0x3d11f9b2,
+    0x7d9829d0, 0x026d52f2, 0xd7f1f02f, 0x7b712394, 0xe606ca53, 0x70082c0c,
+    0x1fbe9098, 0x291cc829, 0xca3a4470, 0x477cd51c, 0x802adf5e, 0xa969b288,
+    0x86753dc4, 0x2cdb0a6c, 0x0bfa48e1, 0x57863a10, 0x8dbeb7b3, 0x292d505f,
+    0x091ea31c, 0xb4771916, 0xfb401218, 0x9a995f82, 0xa2d592c9, 0x03ffebd4,
+    0x345bfb4a, 0x19bb633e, 0x7f92cc07, 0x1cd09f01, 0xefcab5c1, 0x67fdfa66,
+    0x4e38ecf2, 0x14a15bc5, 0x0a8697ae, 0x0497f018, 0x794cc05d, 0x806a2be6,
+    0x764f0344, 0xc86a12c5, 0xfd29df15, 0x6299ac3c, 0x5acbd15b, 0x3369e933,
+    0x7d81d9df, 0x8d75eb1b, 0x5223a6b9, 0xaf7bdb75, 0x46d33cac, 0xadc6487f,
+    0x060ed4c4, 0x7857c08a, 0x2191633c, 0xf253863d, 0x8b363c74, 0xbaa18782,
+    0xeb53651f, 0x70108d60, 0x58ebf414, 0x033dcde2, 0xbb4ac88f, 0x11bcf76e,
+    0x71916c72, 0x110d13f6, 0x980c42e4, 0x5f4847df, 0xdd35ec9c, 0x23ccf75e,
+    0x3bc6a8dc, 0x8a9d195f, 0x335126ed, 0xd9417f3b, 0xf7f04935, 0x28727d2e,
+    0x12c7573e, 0xfb9fcb32, 0x33a7a6fd, 0x14d6f5e3, 0xa831a631, 0xc740ada9,
+    0x3ec28e46, 0x5b8fccae, 0x73cc520e, 0xfe617da8, 0x7614ade3, 0x409ea84a,
+    0x377812fb, 0xd85028b0, 0xb1bde236, 0xc7cca3ad, 0xf53a819a, 0xafb61a33,
+    0x1664f802, 0x837342b4, 0xf416e6ad, 0xdd3a952b, 0xdbe30b36, 0xe0c373a5,
+    0x2ddb4d05, 0x78525fdf, 0x82161204, 0xd2779ff3, 0xab3a3bad, 0xfbf670e5,
+    0xe16d3313, 0x1dee56d6, 0x4cc27e22, 0x296206c8, 0x0835ddb1, 0x6cb751cd,
+    0x4e091a6c, 0xa0e522fc, 0xd0d14ef8, 0xf36ba121, 0xee23d7f5, 0xdfd49333,
+    0xb6c1fd1b, 0x336eec3e, 0x9099ffb7, 0xde413da4, 0xb0bd0655, 0xcc79237d,
+    0x2be09d00, 0x17e6ea66, 0xe0de8edc, 0xc4891b86, 0x74baddea, 0x146aa9cb,
+    0x64ac4336, 0x20458b77, 0x0362e839, 0xfe004a1d,
+    ];
+
+    #[test]
+    fn schedules_match_the_pinned_digest() {
+        let seeds: Vec<Vec<Vec<u64>>> = (0..ORACLE_SEEDS).map(seed_blocks).collect();
+        let combined = seeds
+            .iter()
+            .flatten()
+            .fold(FNV_OFFSET, |h, w| fnv1a(h, w));
+        let per_seed: Vec<u32> = seeds
+            .iter()
+            .map(|blocks| blocks.iter().fold(FNV_OFFSET, |h, w| fnv1a(h, w)) as u32)
+            .collect();
+        if combined != ORACLE_DIGEST {
+            eprintln!("per-seed digests of this tree:");
+            for chunk in per_seed.chunks(6) {
+                let row: Vec<String> = chunk.iter().map(|d| format!("{d:#010x},")).collect();
+                eprintln!("    {}", row.join(" "));
+            }
+            let first = (0..ORACLE_SEEDS)
+                .find(|&s| per_seed[s] != ORACLE_SEED_DIGESTS[s])
+                .unwrap_or(0);
+            let mut rng = Rng(first as u64);
+            let g = random_cdfg(&mut rng);
+            let blocks: Vec<String> = seeds[first]
+                .iter()
+                .enumerate()
+                .map(|(b, w)| {
+                    let ops: Vec<String> = g.block(BlockId(b as u32)).ops.iter()
+                        .map(|&op| format!("{:?}<-{:?}", g.op(op).kind, g.op(op).inputs))
+                        .collect();
+                    format!("  bb{b} [{}]\n    words {w:?}", ops.join(", "))
+                })
+                .collect();
+            panic!(
+                "schedules moved: digest {combined:#018x}, pinned {ORACLE_DIGEST:#018x}; \
+                 first differing seed {first}:\n{}",
+                blocks.join("\n")
+            );
+        }
     }
 }

@@ -8,11 +8,13 @@
 //! [`Partition`](crate::Partition) so that one design can be evaluated
 //! under many candidate partitions.
 
+use crate::compiled::CompiledDesign;
 use crate::component::{Bus, ClassKind, ComponentClass, Memory, Processor};
 use crate::graph::AccessGraph;
 use crate::ids::{BusId, ClassId, MemoryId, PmRef, ProcessorId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A SLIF design: functional objects plus allocated system components.
 ///
@@ -44,6 +46,38 @@ pub struct Design {
     processors: Vec<Processor>,
     memories: Vec<Memory>,
     buses: Vec<Bus>,
+    #[serde(skip)]
+    compiled: CompiledCache,
+}
+
+/// The design's [`CompiledDesign`], built on first use and dropped by
+/// every mutation. It is derived data, not part of the design: it
+/// compares equal, clones empty and prints nothing.
+#[derive(Default)]
+struct CompiledCache(OnceLock<Box<CompiledDesign>>);
+
+impl CompiledCache {
+    fn clear(&mut self) {
+        self.0.take();
+    }
+}
+
+impl Clone for CompiledCache {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for CompiledCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for CompiledCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl Design {
@@ -67,11 +101,20 @@ impl Design {
 
     /// Mutable access to the functional-object side.
     pub fn graph_mut(&mut self) -> &mut AccessGraph {
+        self.compiled.clear();
         &mut self.graph
+    }
+
+    /// The design's compiled view ([`CompiledDesign::compile`]), compiled
+    /// on first use and kept until the design is next mutated, so that
+    /// repeated estimates of an unchanged design compile it once.
+    pub fn compiled(&self) -> &CompiledDesign {
+        self.compiled.0.get_or_init(|| Box::new(CompiledDesign::compile(self)))
     }
 
     /// Registers a component class (technology type) and returns its id.
     pub fn add_class(&mut self, name: impl Into<String>, kind: ClassKind) -> ClassId {
+        self.compiled.clear();
         let id = ClassId(self.classes.len() as u32);
         self.classes.push(ComponentClass::new(name, kind));
         id
@@ -128,6 +171,7 @@ impl Design {
             self.class(processor.class()).kind().holds_behaviors(),
             "processor instances need a std-processor or custom-hw class"
         );
+        self.compiled.clear();
         let id = ProcessorId(self.processors.len() as u32);
         self.processors.push(processor);
         id
@@ -152,6 +196,7 @@ impl Design {
             self.class(memory.class()).kind() == ClassKind::Memory,
             "memory instances need a memory class"
         );
+        self.compiled.clear();
         let id = MemoryId(self.memories.len() as u32);
         self.memories.push(memory);
         id
@@ -159,6 +204,7 @@ impl Design {
 
     /// Allocates a bus instance.
     pub fn add_bus(&mut self, bus: Bus) -> BusId {
+        self.compiled.clear();
         let id = BusId(self.buses.len() as u32);
         self.buses.push(bus);
         id
@@ -198,6 +244,7 @@ impl Design {
     ///
     /// Panics if `id` did not come from this design.
     pub(crate) fn bus_mut(&mut self, id: BusId) -> &mut Bus {
+        self.compiled.clear();
         &mut self.buses[id.index()]
     }
 
@@ -358,5 +405,21 @@ mod tests {
         assert!(s.contains("2 nodes"));
         assert!(s.contains("1 channels"));
         assert!(s.contains("1 procs"));
+    }
+
+    #[test]
+    fn compiled_view_is_cached_until_the_next_mutation() {
+        let mut d = Design::new("t");
+        d.graph_mut().add_node("A", NodeKind::process());
+        assert_eq!(d.compiled().node_count(), 1);
+        assert!(std::ptr::eq(d.compiled(), d.compiled()), "compiled once");
+        let copy = d.clone();
+        assert_eq!(copy, d);
+        d.graph_mut().add_node("B", NodeKind::procedure());
+        assert_eq!(d.compiled().node_count(), 2);
+        assert_eq!(*d.compiled(), CompiledDesign::compile(&d));
+        d.add_class("c", ClassKind::Memory);
+        assert_eq!(d.compiled().class_count(), 1);
+        assert_eq!(copy.compiled().node_count(), 1);
     }
 }

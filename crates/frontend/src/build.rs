@@ -7,14 +7,14 @@
 //! technology library so that all later estimation is lookup-and-sum.
 
 use crate::bits::{expr_bits, object_access_bits};
-use slif_cdfg::{access_frequencies, lower_spec, Access, Cdfg, OpKind};
+use slif_cdfg::{access_frequencies, lower_spec, Access, BlockId, Cdfg, OpKind};
 use slif_core::{
     AccessFreq, AccessKind, AccessTarget, Bus, BusId, ClassId, ClassKind, ConcurrencyTag, Design,
     MemoryId, NodeKind, Partition, PmRef, PortDirection, ProcessorId, WeightEntry,
 };
 use slif_speclang::ast::{BehaviorKind, Direction, Stmt};
 use slif_speclang::{ResolvedSpec, SpecError};
-use slif_techlib::{compile_behavior, synthesize_behavior, TechnologyLibrary};
+use slif_techlib::{compile_behavior, synthesize_behavior, synthesize_with, TechnologyLibrary};
 
 /// Builds a fully annotated SLIF design from a resolved specification and
 /// a technology library.
@@ -58,12 +58,11 @@ pub struct BuildOptions {
 /// Builds a design with explicit [`BuildOptions`].
 pub fn build_design_with(rs: &ResolvedSpec, lib: &TechnologyLibrary, options: &BuildOptions) -> Design {
     // Per-behavior CDFGs drive both profiling and weight preprocessing.
-    let cdfgs = lower_spec(rs);
-    let artifacts: Vec<BehaviorArtifacts> = cdfgs
+    let artifacts: Vec<BehaviorArtifacts> = lower_spec(rs)
         .iter()
-        .map(|g| compute_artifacts(g, lib))
+        .map(|g| compute_artifacts(g, lib, options.schedule_tags))
         .collect();
-    build_design_core(rs, lib, options, &artifacts, Some(&cdfgs))
+    build_design_core(rs, lib, options, &artifacts)
 }
 
 /// Everything SLIF construction derives from one behavior's CDFG: the
@@ -82,12 +81,35 @@ pub(crate) struct BehaviorArtifacts {
     pub asic_weights: Vec<(u64, u64, Option<u64>)>,
     /// Profiled system accesses, in [`access_frequencies`] order.
     pub accesses: Vec<slif_cdfg::AccessSummary>,
+    /// With [`BuildOptions::schedule_tags`]: the concurrency groups of the
+    /// first ASIC model's schedule, from [`push_schedule_groups`].
+    pub schedule_groups: Option<Vec<Vec<String>>>,
 }
 
 /// Runs the paper's per-behavior preprocessing: compile against every
 /// processor model, synthesize against every ASIC model, profile access
-/// frequencies.
-pub(crate) fn compute_artifacts(g: &Cdfg, lib: &TechnologyLibrary) -> BehaviorArtifacts {
+/// frequencies. With `schedule_tags`, the first ASIC model's synthesis
+/// also yields the behavior's schedule concurrency groups.
+pub(crate) fn compute_artifacts(
+    g: &Cdfg,
+    lib: &TechnologyLibrary,
+    schedule_tags: bool,
+) -> BehaviorArtifacts {
+    let mut schedule_groups = schedule_tags.then(Vec::new);
+    let asic_weights = lib
+        .asics
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            let w = match &mut schedule_groups {
+                Some(groups) if i == 0 => synthesize_with(g, m, |block, starts| {
+                    push_schedule_groups(g, block, starts, groups);
+                }),
+                _ => synthesize_behavior(g, m),
+            };
+            (w.ict, w.size, w.datapath)
+        })
+        .collect();
     BehaviorArtifacts {
         proc_weights: lib
             .processors
@@ -97,28 +119,57 @@ pub(crate) fn compute_artifacts(g: &Cdfg, lib: &TechnologyLibrary) -> BehaviorAr
                 (w.ict, w.size)
             })
             .collect(),
-        asic_weights: lib
-            .asics
-            .iter()
-            .map(|m| {
-                let r = synthesize_behavior(g, m);
-                (r.weights.ict, r.weights.size, r.weights.datapath)
-            })
-            .collect(),
+        asic_weights,
         accesses: access_frequencies(g),
+        schedule_groups,
+    }
+}
+
+/// Appends to `groups` the system-access targets of each group of
+/// `block`'s ops that the list scheduler starts in the same cycle, for
+/// groups touching at least two distinct targets: each group's names
+/// sorted and deduplicated, the groups ordered by their first op.
+/// `starts` is positional with the block's ops.
+fn push_schedule_groups(g: &Cdfg, block: BlockId, starts: &[u64], groups: &mut Vec<Vec<String>>) {
+    let ops = &g.block(block).ops;
+    for (i, &cycle) in starts.iter().enumerate() {
+        if starts[..i].contains(&cycle) {
+            continue; // this cycle's group was formed at its first op
+        }
+        let mut targets: Vec<&str> = ops[i..]
+            .iter()
+            .zip(&starts[i..])
+            .filter(|&(_, &s)| s == cycle)
+            .filter_map(|(&op, _)| match &g.op(op).kind {
+                OpKind::ReadGlobal(n)
+                | OpKind::WriteGlobal(n)
+                | OpKind::ReadGlobalArray(n)
+                | OpKind::WriteGlobalArray(n)
+                | OpKind::ReadPort(n)
+                | OpKind::WritePort(n)
+                | OpKind::Call(n)
+                | OpKind::SendMsg(n) => Some(n.as_str()),
+                _ => None,
+            })
+            .collect();
+        targets.sort_unstable();
+        targets.dedup();
+        if targets.len() >= 2 {
+            groups.push(targets.into_iter().map(str::to_owned).collect());
+        }
     }
 }
 
 /// The shared tail of [`build_design_with`] and the cached rebuild path:
 /// everything downstream of the per-behavior artifacts. `artifacts` is
-/// positional with `rs.spec().behaviors`; `cdfgs` is only consulted when
-/// `options.schedule_tags` asks for schedule-derived concurrency tags.
+/// positional with `rs.spec().behaviors`, and carries schedule groups
+/// when `options.schedule_tags` asks for schedule-derived concurrency
+/// tags.
 pub(crate) fn build_design_core(
     rs: &ResolvedSpec,
     lib: &TechnologyLibrary,
     options: &BuildOptions,
     artifacts: &[BehaviorArtifacts],
-    cdfgs: Option<&[Cdfg]>,
 ) -> Design {
     let spec = rs.spec();
     let mut d = Design::new(spec.name.clone());
@@ -173,24 +224,17 @@ pub(crate) fn build_design_core(
     build_channels(&mut d, rs, artifacts);
     tag_fork_concurrency(&mut d, rs);
     if options.schedule_tags {
-        if let Some(model) = lib.asics.first() {
-            if let Some(cdfgs) = cdfgs {
-                tag_schedule_concurrency(&mut d, cdfgs, model);
-            }
-        }
+        tag_schedule_concurrency(&mut d, rs, artifacts);
     }
 
     d
 }
 
-/// Tags channels whose accesses the ASIC list scheduler starts in the
-/// same cycle: they "could be accessed concurrently". A channel keeps its
-/// first tag (fork tags, assigned earlier, take precedence).
-fn tag_schedule_concurrency(
-    d: &mut Design,
-    cdfgs: &[Cdfg],
-    model: &slif_techlib::AsicModel,
-) {
+/// Tags channels whose accesses the first ASIC model's list scheduler
+/// starts in the same cycle: they "could be accessed concurrently". A
+/// channel keeps its first tag (fork tags, assigned earlier, take
+/// precedence).
+fn tag_schedule_concurrency(d: &mut Design, rs: &ResolvedSpec, artifacts: &[BehaviorArtifacts]) {
     // Continue numbering after the fork tags.
     let mut next_tag = d
         .graph()
@@ -198,54 +242,29 @@ fn tag_schedule_concurrency(
         .filter_map(|c| d.graph().channel(c).tag().id())
         .max()
         .map_or(0, |t| t + 1);
-    for g in cdfgs {
-        let Some(src) = d.graph().node_by_name(g.name()) else {
+    for (b, art) in rs.spec().behaviors.iter().zip(artifacts) {
+        let Some(src) = d.graph().node_by_name(&b.name) else {
             continue;
         };
-        let result = slif_techlib::synthesize_behavior(g, model);
-        for (block, sched) in g.block_ids().zip(&result.schedules) {
-            let _ = block;
-            for group in sched.concurrent_groups() {
-                // Distinct system-access targets started together.
-                let mut targets: Vec<&str> = group
-                    .iter()
-                    .filter_map(|&op| match &g.op(op).kind {
-                        OpKind::ReadGlobal(n)
-                        | OpKind::WriteGlobal(n)
-                        | OpKind::ReadGlobalArray(n)
-                        | OpKind::WriteGlobalArray(n)
-                        | OpKind::ReadPort(n)
-                        | OpKind::WritePort(n)
-                        | OpKind::Call(n)
-                        | OpKind::SendMsg(n) => Some(n.as_str()),
-                        _ => None,
-                    })
-                    .collect();
-                targets.sort_unstable();
-                targets.dedup();
-                if targets.len() < 2 {
-                    continue;
-                }
-                let tag = ConcurrencyTag::group(next_tag);
-                next_tag += 1;
-                for target in targets {
-                    let dst: Option<AccessTarget> =
-                        if let Some(n) = d.graph().node_by_name(target) {
-                            Some(n.into())
-                        } else {
-                            d.graph().port_by_name(target).map(Into::into)
-                        };
-                    let Some(dst) = dst else { continue };
-                    for kind in [
-                        AccessKind::Read,
-                        AccessKind::Write,
-                        AccessKind::Call,
-                        AccessKind::Message,
-                    ] {
-                        if let Some(c) = d.graph().find_channel(src, dst, kind) {
-                            if !d.graph().channel(c).tag().is_concurrent() {
-                                d.graph_mut().channel_mut(c).set_tag(tag);
-                            }
+        for targets in art.schedule_groups.iter().flatten() {
+            let tag = ConcurrencyTag::group(next_tag);
+            next_tag += 1;
+            for target in targets {
+                let dst: Option<AccessTarget> = if let Some(n) = d.graph().node_by_name(target) {
+                    Some(n.into())
+                } else {
+                    d.graph().port_by_name(target).map(Into::into)
+                };
+                let Some(dst) = dst else { continue };
+                for kind in [
+                    AccessKind::Read,
+                    AccessKind::Write,
+                    AccessKind::Call,
+                    AccessKind::Message,
+                ] {
+                    if let Some(c) = d.graph().find_channel(src, dst, kind) {
+                        if !d.graph().channel(c).tag().is_concurrent() {
+                            d.graph_mut().channel_mut(c).set_tag(tag);
                         }
                     }
                 }

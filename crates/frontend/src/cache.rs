@@ -19,7 +19,7 @@ use crate::bits::object_access_bits;
 use crate::build::{
     build_design_core, compute_artifacts, message_bits, BehaviorArtifacts, BuildOptions,
 };
-use slif_cdfg::{lower_behavior, lower_spec, Access};
+use slif_cdfg::{lower_behavior, Access};
 use slif_core::{AccessFreq, AccessKind, AccessTarget, ClassId, Design, NodeId, WeightEntry};
 use slif_speclang::ast::{BehaviorDecl, Spec, Stmt};
 use slif_speclang::{ForEachSpan, ResolvedSpec};
@@ -128,10 +128,9 @@ fn env_fingerprint(spec: &Spec) -> Spec {
 /// weights, channel bits, and fork tags — is recomputed against the
 /// current spec.
 ///
-/// With `options.schedule_tags` set, every behavior is re-lowered and
-/// re-synthesized for the schedule-derived tags, so the cache only
-/// shortens the weight phase; interactive sessions use the default
-/// options, where unchanged behaviors cost one AST comparison.
+/// With `options.schedule_tags` set, an entry is reused only if it was
+/// computed with schedule groups too; either way an unchanged behavior
+/// costs one AST comparison.
 pub fn build_design_cached(
     rs: &ResolvedSpec,
     lib: &TechnologyLibrary,
@@ -151,13 +150,16 @@ pub fn build_design_cached(
         let mut key = b.clone();
         key.strip_spans();
         match cache.entries.get(&b.name) {
-            Some(entry) if entry.decl == key => {
+            Some(entry)
+                if entry.decl == key
+                    && (!options.schedule_tags || entry.artifacts.schedule_groups.is_some()) =>
+            {
                 cache.hits += 1;
                 artifacts.push(entry.artifacts.clone());
             }
             _ => {
                 cache.misses += 1;
-                let art = compute_artifacts(&lower_behavior(rs, i), lib);
+                let art = compute_artifacts(&lower_behavior(rs, i), lib, options.schedule_tags);
                 cache.entries.insert(
                     b.name.clone(),
                     CacheEntry {
@@ -174,8 +176,7 @@ pub fn build_design_cached(
         .entries
         .retain(|name, _| spec.behaviors.iter().any(|b| &b.name == name));
 
-    let cdfgs = options.schedule_tags.then(|| lower_spec(rs));
-    build_design_core(rs, lib, options, &artifacts, cdfgs.as_deref())
+    build_design_core(rs, lib, options, &artifacts)
 }
 
 /// Whether any statement in `stmts` (recursively) is a `fork` block.
@@ -240,8 +241,8 @@ struct BehaviorPatch {
 /// The patch declines (returning `None`, design untouched) whenever
 /// equality cannot be guaranteed cheaply:
 ///
-/// - `options.schedule_tags` is set (tags derive from a whole-design
-///   re-synthesis);
+/// - `options.schedule_tags` is set (schedule tags are numbered across
+///   the whole design);
 /// - the cache is cold, or was built against a different library or
 ///   declaration environment;
 /// - a candidate's signature (name, kind, parameters) changed — that is
@@ -317,7 +318,7 @@ pub fn try_patch_design(
             return None;
         }
         let node = design.graph().node_by_name(&b.name)?;
-        let art = compute_artifacts(&lower_behavior(rs, i), lib);
+        let art = compute_artifacts(&lower_behavior(rs, i), lib, false);
         if art.accesses.len() != entry.artifacts.accesses.len() {
             return None;
         }

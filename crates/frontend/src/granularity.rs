@@ -102,14 +102,11 @@ fn build_block_design(rs: &ResolvedSpec, lib: &TechnologyLibrary) -> Design {
                 d.graph_mut().node_mut(node).size_mut().set(class, w.size);
             }
             for (model, &class) in lib.asics.iter().zip(&asic_classes) {
-                let r = synthesize_behavior(&sub, model);
-                d.graph_mut()
-                    .node_mut(node)
-                    .ict_mut()
-                    .set(class, r.weights.ict);
-                let entry = match r.weights.datapath {
-                    Some(dp) => WeightEntry::with_datapath(class, r.weights.size, dp),
-                    None => WeightEntry::new(class, r.weights.size),
+                let w = synthesize_behavior(&sub, model);
+                d.graph_mut().node_mut(node).ict_mut().set(class, w.ict);
+                let entry = match w.datapath {
+                    Some(dp) => WeightEntry::with_datapath(class, w.size, dp),
+                    None => WeightEntry::new(class, w.size),
                 };
                 d.graph_mut().node_mut(node).size_mut().insert(entry);
             }

@@ -31,7 +31,9 @@ use slif_explore::{
     cluster_partition, greedy_improve, group_migration, inline_procedure, merge_processes,
     pareto_sweep, random_search, simulated_annealing, AnnealingConfig, Objectives,
 };
-use slif_formats::{read_bytes, write_bytes, Encoding, FormatComparison, FormatLimits, Strictness};
+use slif_formats::{
+    read_bytes, write_bytes, Encoding, FormatComparison, FormatError, FormatLimits, Strictness,
+};
 use slif_frontend::{
     all_software_partition, allocate_proc_asic, build_design, build_design_at, Granularity, Profile,
 };
@@ -52,6 +54,9 @@ pub enum CliError {
     Spec(slif_speclang::SpecError),
     /// Estimation or exploration failed.
     Core(slif_core::CoreError),
+    /// A saved design could not be read or written in its interchange
+    /// encoding.
+    Format(FormatError),
 }
 
 impl std::fmt::Display for CliError {
@@ -61,6 +66,7 @@ impl std::fmt::Display for CliError {
             CliError::Io(e) => write!(f, "io error: {e}"),
             CliError::Spec(e) => write!(f, "specification error:\n{e}"),
             CliError::Core(e) => write!(f, "estimation error: {e}"),
+            CliError::Format(e) => write!(f, "interchange format error: {e}"),
         }
     }
 }
@@ -85,6 +91,12 @@ impl From<slif_core::CoreError> for CliError {
     }
 }
 
+impl From<FormatError> for CliError {
+    fn from(value: FormatError) -> Self {
+        CliError::Format(value)
+    }
+}
+
 /// Top-level usage text.
 pub const USAGE: &str = "usage: specsyn <command> [args]\n\
 commands:\n\
@@ -100,20 +112,19 @@ commands:\n\
   inline <spec> <proc>         inline a procedure (annotation recompute)\n\
   merge <spec> <proc1> <proc2> merge two processes\n\
   report                       regenerate the paper's Figure 4 table\n\
-<spec> is a corpus name (ans, ether, fuzzy, vol) or a .sl file path";
+<spec> is a corpus name (ans, ether, fuzzy, vol) or a .sl file path;\n\
+estimate also reads a saved .slif (text) or .slifb (binary) design";
 
-/// Loads a previously saved `.slif` design file: an interchange file in
-/// either encoding, read strictly (accepted implies its content key
+/// Loads a previously saved design file (`.slif` text or `.slifb`
+/// binary interchange), read strictly (accepted implies its content key
 /// verified).
 ///
 /// # Errors
 ///
-/// I/O errors for unreadable paths; usage errors for malformed files.
+/// I/O errors for unreadable paths; format errors for malformed files.
 pub fn load_slif(path: &str) -> Result<Design, CliError> {
     let bytes = std::fs::read(path)?;
-    read_bytes(&bytes, Strictness::Strict, &FormatLimits::default())
-        .map(|read| read.design)
-        .map_err(|e| CliError::Usage(e.to_string()))
+    Ok(read_bytes(&bytes, Strictness::Strict, &FormatLimits::default())?.design)
 }
 
 /// Loads a spec by corpus name or file path.
@@ -208,9 +219,7 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         return Ok(design_to_dot(&design, style));
     }
     if let Some(path) = out_path {
-        let bytes = write_bytes(&design, None, Encoding::Text)
-            .map_err(|e| CliError::Usage(e.to_string()))?;
-        std::fs::write(path, bytes)?;
+        std::fs::write(path, write_bytes(&design, None, Encoding::Text)?)?;
     }
     let mut out = String::new();
     let _ = writeln!(out, "built SLIF for `{}`:", design.name());
@@ -266,9 +275,9 @@ fn cmd_estimate(args: &[String]) -> Result<String, CliError> {
     let spec_arg = args
         .first()
         .ok_or_else(|| CliError::Usage(USAGE.to_owned()))?;
-    // A saved `.slif` design skips the build step entirely — the paper's
-    // point that SLIF is built once and reused.
-    let (design, part) = if spec_arg.ends_with(".slif") {
+    // A saved design skips the build step entirely — the paper's point
+    // that SLIF is built once and reused.
+    let (design, part) = if spec_arg.ends_with(".slif") || spec_arg.ends_with(".slifb") {
         let mut design = load_slif(spec_arg)?;
         let arch = allocate_proc_asic(&mut design);
         let part = all_software_partition(&design, arch);
@@ -723,6 +732,44 @@ mod tests {
         // Estimating straight from the saved design works.
         let out = run_args(&["estimate", &path_str]).unwrap();
         assert!(out.contains("FuzzyMain"), "{out}");
+    }
+
+    /// Estimate output past its first line, which carries the T-est time.
+    fn estimate_body(out: &str) -> &str {
+        out.split_once('\n').map_or("", |(_, body)| body)
+    }
+
+    /// Saves `vol` as `.slif` text and as a `.slifb` binary copy of the
+    /// same design in `dir`; returns both paths.
+    fn save_vol_both_ways(dir: &str) -> (String, String) {
+        let dir = std::env::temp_dir().join(dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let text = dir.join("vol.slif").to_str().unwrap().to_owned();
+        let binary = dir.join("vol.slifb").to_str().unwrap().to_owned();
+        run_args(&["build", "vol", "--out", &text]).unwrap();
+        let design = load_slif(&text).unwrap();
+        std::fs::write(&binary, write_bytes(&design, None, Encoding::Binary).unwrap()).unwrap();
+        (text, binary)
+    }
+
+    #[test]
+    fn binary_and_text_saves_estimate_identically() {
+        let (text, binary) = save_vol_both_ways("specsyn-test-slifb");
+        let from_text = run_args(&["estimate", &text]).unwrap();
+        let from_binary = run_args(&["estimate", &binary]).unwrap();
+        assert!(from_binary.contains("VolMain"), "{from_binary}");
+        assert_eq!(estimate_body(&from_binary), estimate_body(&from_text));
+    }
+
+    #[test]
+    fn corrupt_binary_save_is_a_format_error() {
+        let (_, path) = save_vol_both_ways("specsyn-test-slifb-corrupt");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(&path, bytes).unwrap();
+        let err = run_args(&["estimate", &path]).unwrap_err();
+        assert!(matches!(err, CliError::Format(_)), "{err:?}");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   bytes on a processor,
 //! * [`synthesize_behavior`] — the pseudo-synthesizer: CDFG →
 //!   list-schedule → ict + gate count (with a datapath/control split for
-//!   sharing-aware size estimation), plus the block schedules from which
-//!   concurrency tags are derived.
+//!   sharing-aware size estimation); [`synthesize_with`] also yields
+//!   the block start cycles from which concurrency tags are derived.
 //!
 //! # Examples
 //!
@@ -28,7 +28,7 @@
 //! let lib = TechnologyLibrary::proc_asic();
 //! let sw = compile_behavior(&g, &lib.processors[0]);
 //! let hw = synthesize_behavior(&g, &lib.asics[0]);
-//! assert!(hw.weights.ict < sw.ict); // hardware wins on the loop
+//! assert!(hw.ict < sw.ict); // hardware wins on the loop
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -43,4 +43,4 @@ mod synth;
 pub use compile::compile_behavior;
 pub use library::TechnologyLibrary;
 pub use models::{AsicModel, BehaviorWeights, MemoryModel, ProcessorModel, VariableWeights};
-pub use synth::{synthesize_behavior, SynthesisResult};
+pub use synth::{synthesize_behavior, synthesize_with};

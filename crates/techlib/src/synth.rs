@@ -11,17 +11,13 @@
 //! \[1\]) can discount shared functional units.
 
 use crate::models::{AsicModel, BehaviorWeights};
-use slif_cdfg::{list_schedule, BlockSchedule, Cdfg, FuClass, OpKind};
-use std::collections::{HashMap, HashSet};
+use slif_cdfg::{BlockId, Cdfg, FuClass, OpKind, Scheduler, Usage};
+use std::cell::RefCell;
 
-/// The full result of pre-synthesizing one behavior.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SynthesisResult {
-    /// The ict/size weights for the SLIF node.
-    pub weights: BehaviorWeights,
-    /// Per-block schedules (block index order), for concurrency-tag
-    /// derivation.
-    pub schedules: Vec<BlockSchedule>,
+thread_local! {
+    /// One scheduler's buffers serve every synthesis on a thread: once
+    /// grown to the largest block seen, scheduling allocates nothing.
+    static SCHEDULER: RefCell<Scheduler> = RefCell::new(Scheduler::default());
 }
 
 /// Pre-synthesizes one behavior for one ASIC model.
@@ -36,42 +32,43 @@ pub struct SynthesisResult {
 ///     "system T;\nvar x : int<8>;\nproc P() { x = x * 3; }",
 /// )?;
 /// let g = lower_behavior(&rs, 0);
-/// let result = synthesize_behavior(&g, &AsicModel::gate_array());
-/// assert!(result.weights.size > 0);
-/// assert!(result.weights.datapath.is_some());
+/// let weights = synthesize_behavior(&g, &AsicModel::gate_array());
+/// assert!(weights.size > 0);
+/// assert!(weights.datapath.is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn synthesize_behavior(g: &Cdfg, model: &AsicModel) -> SynthesisResult {
+pub fn synthesize_behavior(g: &Cdfg, model: &AsicModel) -> BehaviorWeights {
+    synthesize_with(g, model, |_, _| {})
+}
+
+/// [`synthesize_behavior`], handing each block's list-schedule start
+/// cycles (positional with the block's ops) to `on_block` as the block is
+/// scheduled — the schedule concurrency tags derive from.
+pub fn synthesize_with(
+    g: &Cdfg,
+    model: &AsicModel,
+    mut on_block: impl FnMut(BlockId, &[u64]),
+) -> BehaviorWeights {
     let delay = |k: &OpKind| model.cycles(k);
     let mut ict_cycles = 0.0;
-    let mut peak: HashMap<FuClass, u32> = HashMap::new();
-    let mut schedules = Vec::with_capacity(g.block_count());
+    let mut peak: Usage = [0; FuClass::COUNT];
+    // Taken, not borrowed: a synthesis nested in `on_block` gets its own.
+    let mut scheduler = SCHEDULER.take();
     for block_id in g.block_ids() {
-        let sched = list_schedule(g, block_id, &delay, model.resources);
-        ict_cycles += g.block(block_id).count.avg * sched.latency as f64;
-        for (&class, &n) in &sched.peak_usage {
-            let e = peak.entry(class).or_insert(0);
-            *e = (*e).max(n);
+        let (latency, usage) = scheduler.list_schedule(g, block_id, &delay, model.resources);
+        ict_cycles += g.block(block_id).count.avg * latency as f64;
+        for (p, n) in peak.iter_mut().zip(usage) {
+            *p = (*p).max(n);
         }
-        schedules.push(sched);
+        on_block(block_id, scheduler.starts());
     }
+    SCHEDULER.set(scheduler);
 
     // Datapath area: the functional units the schedule actually needed,
     // plus registers for the behavior's local storage.
-    let fu_gates = peak
-        .iter()
-        .map(|(&class, &n)| {
-            u64::from(n)
-                * match class {
-                    FuClass::Alu => model.alu_gates,
-                    FuClass::Mul => model.mul_gates,
-                    FuClass::Div => model.div_gates,
-                    FuClass::Mem => model.mem_port_gates,
-                    FuClass::Other => 0,
-                }
-        })
-        .sum::<u64>();
-    let reg_gates = local_names(g).len() as u64 * 16 * model.gates_per_bit;
+    let unit_gates = [model.alu_gates, model.mul_gates, model.div_gates, model.mem_port_gates, 0];
+    let fu_gates: u64 = peak.iter().zip(unit_gates).map(|(&n, gates)| u64::from(n) * gates).sum();
+    let reg_gates = local_name_count(g) as u64 * 16 * model.gates_per_bit;
     let datapath = fu_gates + reg_gates;
 
     // Control area: one state per block (single-block behaviors still
@@ -79,32 +76,29 @@ pub fn synthesize_behavior(g: &Cdfg, model: &AsicModel) -> SynthesisResult {
     let control =
         g.block_count() as u64 * model.state_gates + g.node_count() as u64 * model.op_ctrl_gates;
 
-    SynthesisResult {
-        weights: BehaviorWeights {
-            ict: (ict_cycles * model.cycle_ns as f64).round() as u64,
-            size: datapath + control,
-            datapath: Some(datapath),
-        },
-        schedules,
+    BehaviorWeights {
+        ict: (ict_cycles * model.cycle_ns as f64).round() as u64,
+        size: datapath + control,
+        datapath: Some(datapath),
     }
 }
 
-/// Distinct behavior-local storage names (locals, params, loop vars) that
-/// need registers.
-fn local_names(g: &Cdfg) -> HashSet<&str> {
-    let mut names = HashSet::new();
-    for op in g.op_ids() {
-        match &g.op(op).kind {
+/// Number of distinct behavior-local storage names (locals, params, loop
+/// vars) that need registers.
+fn local_name_count(g: &Cdfg) -> usize {
+    let mut names: Vec<&str> = g
+        .op_ids()
+        .filter_map(|op| match &g.op(op).kind {
             OpKind::ReadLocal(n)
             | OpKind::WriteLocal(n)
             | OpKind::ReadLocalArray(n)
-            | OpKind::WriteLocalArray(n) => {
-                names.insert(n.as_str());
-            }
-            _ => {}
-        }
-    }
-    names
+            | OpKind::WriteLocalArray(n) => Some(n.as_str()),
+            _ => None,
+        })
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    names.len()
 }
 
 #[cfg(test)]
@@ -113,7 +107,7 @@ mod tests {
     use slif_cdfg::lower_behavior;
     use slif_speclang::parse_and_resolve;
 
-    fn synth(src: &str, name: &str, model: &AsicModel) -> SynthesisResult {
+    fn synth(src: &str, name: &str, model: &AsicModel) -> BehaviorWeights {
         let rs = parse_and_resolve(src).expect("spec loads");
         let idx = rs
             .spec()
@@ -136,20 +130,15 @@ mod tests {
         let g = lower_behavior(&rs, 0);
         let asic = synthesize_behavior(&g, &AsicModel::gate_array());
         let sw = crate::compile::compile_behavior(&g, &crate::models::ProcessorModel::mcu8());
-        assert!(
-            sw.ict >= 4 * asic.weights.ict,
-            "sw {} vs hw {}",
-            sw.ict,
-            asic.weights.ict
-        );
+        assert!(sw.ict >= 4 * asic.ict, "sw {} vs hw {}", sw.ict, asic.ict);
     }
 
     #[test]
     fn datapath_and_control_split() {
         let r = synth(CONV, "Convolve", &AsicModel::gate_array());
-        let dp = r.weights.datapath.unwrap();
+        let dp = r.datapath.unwrap();
         assert!(dp > 0);
-        assert!(dp < r.weights.size, "control adds on top of datapath");
+        assert!(dp < r.size, "control adds on top of datapath");
     }
 
     #[test]
@@ -160,14 +149,14 @@ mod tests {
             &AsicModel::gate_array(),
         );
         let big = synth(CONV, "Convolve", &AsicModel::gate_array());
-        assert!(big.weights.size > small.weights.size);
+        assert!(big.size > small.size);
     }
 
     #[test]
     fn fpga_and_gate_array_differ() {
         let ga = synth(CONV, "Convolve", &AsicModel::gate_array());
         let fp = synth(CONV, "Convolve", &AsicModel::fpga());
-        assert_ne!(ga.weights, fp.weights);
+        assert_ne!(ga, fp);
     }
 
     #[test]
@@ -175,7 +164,23 @@ mod tests {
         let r = synth(CONV, "Convolve", &AsicModel::gate_array());
         let rs = parse_and_resolve(CONV).unwrap();
         let g = lower_behavior(&rs, 0);
-        assert_eq!(r.schedules.len(), g.block_count());
+        let mut blocks = Vec::new();
+        let w = synthesize_with(&g, &AsicModel::gate_array(), |b, starts| {
+            assert_eq!(starts.len(), g.block(b).ops.len());
+            blocks.push(b);
+        });
+        assert_eq!(blocks, g.block_ids().collect::<Vec<_>>());
+        assert_eq!(w, r);
+    }
+
+    #[test]
+    fn a_callback_may_synthesize_again() {
+        let rs = parse_and_resolve(CONV).unwrap();
+        let g = lower_behavior(&rs, 0);
+        let model = AsicModel::gate_array();
+        let mut inner = Vec::new();
+        let outer = synthesize_with(&g, &model, |_, _| inner.push(synthesize_behavior(&g, &model)));
+        assert!(inner.iter().all(|w| *w == outer));
     }
 
     #[test]
@@ -187,6 +192,6 @@ mod tests {
             &AsicModel::gate_array(),
         );
         // Only the Return costs a cycle.
-        assert_eq!(r.weights.ict, AsicModel::gate_array().cycle_ns);
+        assert_eq!(r.ict, AsicModel::gate_array().cycle_ns);
     }
 }

@@ -41,6 +41,9 @@
 # 5. Bench smoke: the pr3_bench binary re-measures baseline vs
 #    compiled candidate evaluation and rewrites BENCH_pr3.json, so the
 #    committed speedup record always matches the code being verified.
+#    Its build record times lowering and pre-synthesis of every corpus
+#    behavior and asserts the floor: corpus synthesis takes at most 1.0x
+#    the corpus lowering time (the hash-map scheduler measured ~7x).
 # 6. Wire smoke: loadgen binds a slif-serve instance in-process on an
 #    ephemeral port (--self-serve, so no port coordination) and drives
 #    500 mixed requests with >30% injected client faults — slow

@@ -3,13 +3,20 @@
 //! A seeded generator emits structurally valid specifications; every one
 //! must parse, resolve, pretty-print to a fixed point, lower to CDFGs,
 //! build into a SLIF design whose every channel annotation is consistent,
-//! estimate without error, and simulate within its guards.
+//! estimate without error, and simulate within its guards. The same
+//! generator, with the corpus, feeds the pinned digest of every design
+//! weight and concurrency tag that pre-synthesis produces.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slif::estimate::DesignReport;
-use slif::frontend::{all_software_partition, allocate_proc_asic, build_design};
+use slif::core::Design;
+use slif::frontend::{
+    all_software_partition, allocate_proc_asic, build_design, build_design_at, build_design_with,
+    BuildOptions, Granularity,
+};
+use slif::speclang::corpus;
 use slif::sim::{simulate, PortStimulus, SimConfig, Stimulus};
 use slif::techlib::TechnologyLibrary;
 use std::fmt::Write as _;
@@ -248,5 +255,111 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Every node's ict/size/datapath weights and every channel's tag of one
+/// design, one line each.
+fn weights_and_tags(d: &Design) -> String {
+    let g = d.graph();
+    let mut out = String::new();
+    for n in g.node_ids() {
+        let node = g.node(n);
+        let ict: Vec<_> = node.ict().iter().collect();
+        let size: Vec<_> = node.size().iter().collect();
+        let _ = writeln!(out, "{} ict {ict:?} size {size:?}", node.name());
+    }
+    for c in g.channel_ids() {
+        let _ = writeln!(out, "{c:?} {:?}", g.channel(c).tag());
+    }
+    out
+}
+
+/// Generated specs the synthesis digest covers after the corpus.
+const DIGEST_GENERATED_SPECS: u64 = 40;
+
+/// Renderings of one spec built three ways with the extended library
+/// (every processor and ASIC model): behavior granularity with and
+/// without schedule-derived tags, and basic-block granularity.
+fn synthesis_renderings(rs: &slif::speclang::ResolvedSpec) -> [String; 3] {
+    let lib = TechnologyLibrary::extended();
+    let mut tagged = BuildOptions::default();
+    tagged.schedule_tags = true;
+    [
+        weights_and_tags(&build_design_with(rs, &lib, &BuildOptions::default())),
+        weights_and_tags(&build_design_with(rs, &lib, &tagged)),
+        weights_and_tags(&build_design_at(rs, &lib, Granularity::BasicBlock)),
+    ]
+}
+
+/// Combined digest of [`synthesis_renderings`] over the corpus and
+/// generated specs `0..DIGEST_GENERATED_SPECS`, pinned from the hash-map
+/// block scheduler that the dense one replaced. Any change to a weight,
+/// a datapath split or a concurrency tag moves it.
+const SYNTHESIS_DIGEST: u64 = 0x6e84d6db865f9b08;
+
+/// Per-spec digests (low 32 bits) behind [`SYNTHESIS_DIGEST`], so a
+/// mismatch can name the first spec whose design moved.
+const SYNTHESIS_SPEC_DIGESTS: [(&str, u32); 44] = [
+    ("ans", 0x74d793ca), ("ether", 0x8fe2e979), ("fuzzy", 0xa35f1b1b), ("vol", 0xb232ff89),
+    ("gen0", 0x27a501c9), ("gen1", 0xb967c976), ("gen2", 0xe886a8d3), ("gen3", 0xf1a9d487),
+    ("gen4", 0x77ce8f16), ("gen5", 0xd527b9d6), ("gen6", 0x1cbdcc9f), ("gen7", 0xe40001e4),
+    ("gen8", 0xf11576b2), ("gen9", 0x5b585566), ("gen10", 0x396f74e7), ("gen11", 0x4f31d226),
+    ("gen12", 0xa4f25221), ("gen13", 0xe98cc090), ("gen14", 0x4ba6d2a6), ("gen15", 0x4d7ec18c),
+    ("gen16", 0xb33c9139), ("gen17", 0x3f9f0021), ("gen18", 0xdabae2ae), ("gen19", 0x9898550b),
+    ("gen20", 0x4e11e05f), ("gen21", 0x55985d8c), ("gen22", 0x926841d7), ("gen23", 0x169367b0),
+    ("gen24", 0x6f8d87fa), ("gen25", 0x14d1a90e), ("gen26", 0x6ed7854d), ("gen27", 0x250728c3),
+    ("gen28", 0xf2de99bf), ("gen29", 0xd203f25c), ("gen30", 0xff98dcfe), ("gen31", 0x47016f71),
+    ("gen32", 0xdfe30258), ("gen33", 0x557ff799), ("gen34", 0xd5e14315), ("gen35", 0x8a6c8b8a),
+    ("gen36", 0xc74e3c6c), ("gen37", 0x97f3e217), ("gen38", 0x89055f5f), ("gen39", 0xe4908355),
+];
+
+#[test]
+fn design_weights_and_tags_match_the_pinned_digest() {
+    let mut specs: Vec<(String, slif::speclang::ResolvedSpec)> = corpus::all()
+        .iter()
+        .map(|e| (e.name.to_string(), e.load().unwrap()))
+        .collect();
+    for seed in 0..DIGEST_GENERATED_SPECS {
+        let rs = slif::speclang::parse_and_resolve(&gen_spec(seed)).unwrap();
+        specs.push((format!("gen{seed}"), rs));
+    }
+    let mut combined = FNV_OFFSET;
+    let mut per_spec = Vec::new();
+    let mut tagged_specs = 0;
+    for (name, rs) in &specs {
+        let renderings = synthesis_renderings(rs);
+        tagged_specs += usize::from(renderings[0] != renderings[1]);
+        combined = renderings.iter().fold(combined, |h, r| fnv1a(h, r.as_bytes()));
+        let h = renderings.iter().fold(FNV_OFFSET, |h, r| fnv1a(h, r.as_bytes()));
+        per_spec.push((name.as_str(), h as u32, renderings));
+    }
+    // The tagged builds must exercise the schedule, not just repeat the
+    // untagged ones.
+    assert!(tagged_specs >= 5, "only {tagged_specs} specs got schedule tags");
+    if combined != SYNTHESIS_DIGEST {
+        eprintln!("per-spec digests of this tree:");
+        for chunk in per_spec.chunks(4) {
+            let row: Vec<String> =
+                chunk.iter().map(|(n, h, _)| format!("(\"{n}\", {h:#010x}),")).collect();
+            eprintln!("    {}", row.join(" "));
+        }
+        let (name, _, renderings) = per_spec
+            .iter()
+            .zip(SYNTHESIS_SPEC_DIGESTS)
+            .find(|((_, h, _), (_, pinned))| h != pinned)
+            .map_or(&per_spec[0], |(spec, _)| spec);
+        panic!(
+            "design weights or tags moved: digest {combined:#018x}, \
+             pinned {SYNTHESIS_DIGEST:#018x}; first differing spec {name} \
+             (behavior, behavior + schedule tags, basic block):\n{}",
+            renderings.join("\n")
+        );
     }
 }
